@@ -15,10 +15,10 @@ namespace respect {
 namespace {
 
 sched::PipelineConstraints ConstraintsFor(int num_stages,
-                                          const tpu::DeviceProfile* profile) {
+                                          const tpu::DeviceProfile& profile) {
   sched::PipelineConstraints constraints;
   constraints.num_stages = num_stages;
-  if (profile != nullptr) constraints.profile = *profile;
+  constraints.profile = profile;
   return constraints;
 }
 
@@ -72,35 +72,11 @@ engines::EngineContext PipelineCompiler::MakeEngineContext() const {
   return context;
 }
 
-CompileResult PipelineCompiler::Compile(const graph::Dag& dag, int num_stages,
-                                        Method method) const {
-  const auto engine =
-      engines::EngineRegistry::Global().Create(method, MakeEngineContext());
-  return CompileWith(*engine, dag, ConstraintsFor(num_stages, nullptr));
-}
-
-CompileResult PipelineCompiler::Compile(const graph::Dag& dag, int num_stages,
-                                        std::string_view engine_name) const {
-  const auto engine = engines::EngineRegistry::Global().Create(
-      engine_name, MakeEngineContext());
-  return CompileWith(*engine, dag, ConstraintsFor(num_stages, nullptr));
-}
-
 CompileResult PipelineCompiler::Compile(
-    const graph::Dag& dag, int num_stages, std::string_view engine_name,
-    const tpu::DeviceProfile& profile) const {
-  const auto engine = engines::EngineRegistry::Global().Create(
-      engine_name, MakeEngineContext());
-  return CompileWith(*engine, dag, ConstraintsFor(num_stages, &profile));
-}
-
-CompileResult PipelineCompiler::Compile(
-    const graph::Dag& dag, int num_stages, std::string_view engine_name,
+    const graph::Dag& dag, int num_stages, const engines::EngineRef& engine,
     const tpu::DeviceProfile& profile, const core::CancelToken& cancel) const {
-  const auto engine = engines::EngineRegistry::Global().Create(
-      engine_name, MakeEngineContext());
-  return CompileWith(*engine, dag, ConstraintsFor(num_stages, &profile),
-                     cancel);
+  return CompileWith(*CreateEngine(engine), dag,
+                     ConstraintsFor(num_stages, profile), cancel);
 }
 
 engines::EngineBudget PipelineCompiler::MakeBudget() const {
@@ -150,24 +126,32 @@ CompileResult PipelineCompiler::CompileWith(
                        constraints);
 }
 
-std::vector<CompileResult> PipelineCompiler::CompileGroup(
-    std::span<const graph::Dag* const> dags, int num_stages,
-    std::string_view engine_name, engines::SolveStats* stats) const {
-  return CompileGroup(dags, num_stages, engine_name, tpu::DefaultProfile(),
-                      stats);
+std::unique_ptr<engines::SchedulerEngine> PipelineCompiler::CreateEngine(
+    const engines::EngineRef& engine) const {
+  const engines::EngineRegistry& registry = engines::EngineRegistry::Global();
+  return registry.Create(registry.Resolve(engine).name, MakeEngineContext());
 }
 
 std::vector<CompileResult> PipelineCompiler::CompileGroup(
     std::span<const graph::Dag* const> dags, int num_stages,
-    std::string_view engine_name, const tpu::DeviceProfile& profile,
-    engines::SolveStats* stats) const {
-  const auto engine = engines::EngineRegistry::Global().Create(
-      engine_name, MakeEngineContext());
+    const engines::EngineRef& engine, const tpu::DeviceProfile& profile,
+    const core::CancelToken& cancel, engines::SolveStats* stats) const {
+  return CompileGroupWith(*CreateEngine(engine), dags,
+                          ConstraintsFor(num_stages, profile), cancel, stats);
+}
+
+std::vector<CompileResult> PipelineCompiler::CompileGroupWith(
+    const engines::SchedulerEngine& engine,
+    std::span<const graph::Dag* const> dags,
+    const sched::PipelineConstraints& constraints,
+    const core::CancelToken& cancel, engines::SolveStats* stats) const {
   for (const graph::Dag* dag : dags) dag->Validate();
-  const sched::PipelineConstraints constraints =
-      ConstraintsFor(num_stages, &profile);
+  // One group, one pass through the same chaos site CompileWith evaluates.
+  RESPECT_FAILPOINT_TAGGED("engine.solve", engine.Name());
+  engines::EngineBudget budget = MakeBudget();
+  budget.cancel = cancel;
   std::vector<engines::EngineResult> engine_results =
-      engine->ScheduleBatch(dags, constraints, MakeBudget(), stats);
+      engine.ScheduleBatch(dags, constraints, budget, stats);
   std::vector<CompileResult> results;
   results.reserve(dags.size());
   for (std::size_t i = 0; i < dags.size(); ++i) {
@@ -177,58 +161,18 @@ std::vector<CompileResult> PipelineCompiler::CompileGroup(
   return results;
 }
 
-namespace {
-
-/// Never spawn more per-call workers than there are graphs to compile.
-int BatchThreadCount(int num_threads, std::size_t batch_size) {
-  if (num_threads < 1) num_threads = core::ThreadPool::DefaultThreadCount();
-  return static_cast<int>(
-      std::min<std::size_t>(num_threads, std::max<std::size_t>(1, batch_size)));
-}
-
-}  // namespace
-
-std::vector<CompileResult> PipelineCompiler::CompileBatch(
-    std::span<const graph::Dag* const> dags, int num_stages, Method method,
-    int num_threads, engines::SolveStats* stats) const {
-  core::ThreadPool pool(BatchThreadCount(num_threads, dags.size()));
-  return CompileBatch(dags, num_stages, method, pool, stats);
-}
-
 std::vector<CompileResult> PipelineCompiler::CompileBatch(
     std::span<const graph::Dag* const> dags, int num_stages,
-    std::string_view engine_name, int num_threads,
+    const engines::EngineRef& engine_ref, core::ThreadPool& pool,
     engines::SolveStats* stats) const {
-  core::ThreadPool pool(BatchThreadCount(num_threads, dags.size()));
-  return CompileBatch(dags, num_stages, engine_name, pool, stats);
-}
-
-std::vector<CompileResult> PipelineCompiler::CompileBatch(
-    std::span<const graph::Dag* const> dags, int num_stages, Method method,
-    core::ThreadPool& pool, engines::SolveStats* stats) const {
-  const auto engine =
-      engines::EngineRegistry::Global().Create(method, MakeEngineContext());
-  return CompileBatchWith(*engine, dags, num_stages, pool, stats);
-}
-
-std::vector<CompileResult> PipelineCompiler::CompileBatch(
-    std::span<const graph::Dag* const> dags, int num_stages,
-    std::string_view engine_name, core::ThreadPool& pool,
-    engines::SolveStats* stats) const {
-  const auto engine = engines::EngineRegistry::Global().Create(
-      engine_name, MakeEngineContext());
-  return CompileBatchWith(*engine, dags, num_stages, pool, stats);
-}
-
-std::vector<CompileResult> PipelineCompiler::CompileBatchWith(
-    const engines::SchedulerEngine& engine,
-    std::span<const graph::Dag* const> dags, int num_stages,
-    core::ThreadPool& pool, engines::SolveStats* stats) const {
+  const auto engine_ptr = CreateEngine(engine_ref);
+  const engines::SchedulerEngine& engine = *engine_ptr;
+  const sched::PipelineConstraints constraints =
+      ConstraintsFor(num_stages, tpu::DefaultProfile());
   std::vector<CompileResult> results(dags.size());
   if (!engine.SupportsBatch() || dags.size() < 2) {
     core::ParallelFor(pool, dags.size(), [&](std::size_t i) {
-      results[i] = CompileWith(engine, *dags[i],
-                               ConstraintsFor(num_stages, nullptr));
+      results[i] = CompileWith(engine, *dags[i], constraints);
     });
     if (stats != nullptr) stats->single_solved += dags.size();
     return results;
@@ -265,9 +209,6 @@ std::vector<CompileResult> PipelineCompiler::CompileBatchWith(
     }
   }
 
-  sched::PipelineConstraints constraints;
-  constraints.num_stages = num_stages;
-  const engines::EngineBudget budget = MakeBudget();
   std::vector<engines::SolveStats> task_stats(tasks.size());
   core::ParallelFor(pool, tasks.size(), [&](std::size_t t) {
     const std::vector<std::size_t>& indices = tasks[t];
@@ -279,16 +220,11 @@ std::vector<CompileResult> PipelineCompiler::CompileBatchWith(
     }
     std::vector<const graph::Dag*> group;
     group.reserve(indices.size());
-    for (const std::size_t i : indices) {
-      dags[i]->Validate();
-      group.push_back(dags[i]);
-    }
-    std::vector<engines::EngineResult> engine_results = engine.ScheduleBatch(
-        std::span<const graph::Dag* const>(group), constraints, budget,
-        &task_stats[t]);
+    for (const std::size_t i : indices) group.push_back(dags[i]);
+    std::vector<CompileResult> grouped =
+        CompileGroupWith(engine, group, constraints, {}, &task_stats[t]);
     for (std::size_t k = 0; k < indices.size(); ++k) {
-      results[indices[k]] = FinishCompile(std::move(engine_results[k]),
-                                          *dags[indices[k]], constraints);
+      results[indices[k]] = std::move(grouped[k]);
     }
   });
   if (stats != nullptr) {

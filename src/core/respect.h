@@ -33,6 +33,7 @@
 #include "rl/scheduler.h"
 #include "rl/trainer.h"
 #include "sched/schedule.h"
+#include "tpu/device_profile.h"
 
 namespace respect::core {
 class ThreadPool;
@@ -86,82 +87,55 @@ class PipelineCompiler {
   PipelineCompiler(const PipelineCompiler&) = delete;
   PipelineCompiler& operator=(const PipelineCompiler&) = delete;
 
-  /// Compiles with a built-in engine addressed by enum value.
-  [[nodiscard]] CompileResult Compile(const graph::Dag& dag, int num_stages,
-                                      Method method) const;
+  /// Compiles with any registered engine — canonical name, CLI alias or
+  /// Method value, including engines registered at runtime that have no
+  /// Method value — targeting `profile`: the engine receives the profile
+  /// through sched::PipelineConstraints, and for non-default profiles the
+  /// repaired schedule additionally runs the deterministic device-aware
+  /// rebalance (sched::RebalanceForProfile) before packaging.  `cancel`
+  /// carries a cooperative cancellation token into the engine's inner
+  /// loops (the serving layer's per-request solve budget): a fired token
+  /// unwinds with core::CancelledError — no partial schedule is ever
+  /// returned.  Unknown or empty engines throw std::invalid_argument.
+  [[nodiscard]] CompileResult Compile(
+      const graph::Dag& dag, int num_stages, const engines::EngineRef& engine,
+      const tpu::DeviceProfile& profile = tpu::DefaultProfile(),
+      const core::CancelToken& cancel = {}) const;
 
-  /// Compiles with any registered engine addressed by name or CLI alias —
-  /// including engines registered at runtime that have no Method value.
-  [[nodiscard]] CompileResult Compile(const graph::Dag& dag, int num_stages,
-                                      std::string_view engine) const;
-
-  /// Same, targeting an explicit device profile: the engine receives the
-  /// profile through sched::PipelineConstraints, and for non-default
-  /// profiles the repaired schedule additionally runs the deterministic
-  /// device-aware rebalance (sched::RebalanceForProfile) before packaging.
-  /// With tpu::DefaultProfile() this is byte-identical to the two-argument
-  /// overload.
-  [[nodiscard]] CompileResult Compile(const graph::Dag& dag, int num_stages,
-                                      std::string_view engine,
-                                      const tpu::DeviceProfile& profile) const;
-
-  /// Same, carrying a cooperative cancellation token into the engine's
-  /// inner loops (the serving layer's per-request solve budget).  A fired
-  /// token unwinds with core::CancelledError — no partial schedule is ever
-  /// returned.  An empty token makes this identical to the overload above.
-  [[nodiscard]] CompileResult Compile(const graph::Dag& dag, int num_stages,
-                                      std::string_view engine,
-                                      const tpu::DeviceProfile& profile,
-                                      const core::CancelToken& cancel) const;
-
-  /// Compiles every graph of the batch across `num_threads` worker threads
-  /// (values < 1 select ThreadPool::DefaultThreadCount()).  Engines are
-  /// stateless and the RL weights are a shared immutable snapshot, so the
-  /// results are element-wise identical to calling Compile() in a loop —
-  /// except when a wall-clock budget cuts a solve short (ExactILP with
-  /// exact_time_limit_seconds > 0): CPU contention changes how far such a
-  /// solve gets, so its incumbent may differ between runs.  Expansion caps
-  /// are deterministic; use those when bit-identical batches matter.
-  /// When the chosen engine supports batched solving (RlEngine's
-  /// lock-stepped decode), CompileBatch additionally groups the graphs by
-  /// node count and routes every same-size group of >= 2 through the batch
-  /// path, so the per-step recurrences run as GEMMs across the group;
-  /// stragglers keep the per-graph path.  `stats` (optional, may be null)
-  /// accumulates the batch/single split.
-  [[nodiscard]] std::vector<CompileResult> CompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages, Method method,
-      int num_threads, engines::SolveStats* stats = nullptr) const;
+  /// Compiles every graph of the batch on a caller-owned pool (serving
+  /// loops issuing many batches reuse one pool instead of paying thread
+  /// spawn/join per call).  Engines are stateless and the RL weights are a
+  /// shared immutable snapshot, so the results are element-wise identical
+  /// to calling Compile() in a loop — except when a wall-clock budget cuts
+  /// a solve short (ExactILP with exact_time_limit_seconds > 0): CPU
+  /// contention changes how far such a solve gets, so its incumbent may
+  /// differ between runs.  Expansion caps are deterministic; use those when
+  /// bit-identical batches matter.  When the chosen engine supports batched
+  /// solving (RlEngine's lock-stepped decode), CompileBatch additionally
+  /// groups the graphs by node count and routes every same-size group of
+  /// >= 2 through the batch path, so the per-step recurrences run as GEMMs
+  /// across the group; stragglers keep the per-graph path.  `stats`
+  /// (optional, may be null) accumulates the batch/single split.
   [[nodiscard]] std::vector<CompileResult> CompileBatch(
       std::span<const graph::Dag* const> dags, int num_stages,
-      std::string_view engine, int num_threads,
-      engines::SolveStats* stats = nullptr) const;
-
-  /// Same, on a caller-owned pool — serving loops issuing many batches
-  /// reuse one pool instead of paying thread spawn/join per call.
-  [[nodiscard]] std::vector<CompileResult> CompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages, Method method,
-      core::ThreadPool& pool, engines::SolveStats* stats = nullptr) const;
-  [[nodiscard]] std::vector<CompileResult> CompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages,
-      std::string_view engine, core::ThreadPool& pool,
+      const engines::EngineRef& engine, core::ThreadPool& pool,
       engines::SolveStats* stats = nullptr) const;
 
   /// Compiles a group of graphs INLINE on the calling thread through the
   /// engine's ScheduleBatch — same-node-count groups of >= 2 take the
   /// lock-stepped batch decode when the engine supports it.  This is the
   /// entry point for callers that already run on a worker thread (the
-  /// serving layer's grouped miss handling must not nest pool submissions);
+  /// serving layer's grouped solve attempt must not nest pool submissions);
   /// results are element-wise identical to per-graph Compile() calls on
-  /// the scalar path.
+  /// the scalar path.  Every graph targets `profile`.  Like Compile(), the
+  /// group passes the "engine.solve" failpoint once and carries `cancel`
+  /// into the engine: a fired token unwinds the whole group with
+  /// core::CancelledError.  `stats` (optional) accumulates the
+  /// batch/single split.
   [[nodiscard]] std::vector<CompileResult> CompileGroup(
       std::span<const graph::Dag* const> dags, int num_stages,
-      std::string_view engine, engines::SolveStats* stats = nullptr) const;
-
-  /// Profile-targeted group compile (every graph of the group shares the
-  /// profile; the serving layer groups by profile fingerprint).
-  [[nodiscard]] std::vector<CompileResult> CompileGroup(
-      std::span<const graph::Dag* const> dags, int num_stages,
-      std::string_view engine, const tpu::DeviceProfile& profile,
+      const engines::EngineRef& engine, const tpu::DeviceProfile& profile,
+      const core::CancelToken& cancel,
       engines::SolveStats* stats = nullptr) const;
 
   /// Snapshot of the current RL scheduler for training / weight loading
@@ -199,6 +173,12 @@ class PipelineCompiler {
 
   [[nodiscard]] engines::EngineBudget MakeBudget() const;
 
+  /// Instantiates whatever engine `engine` spells, bound to this
+  /// compiler's context (unknown or empty refs throw
+  /// std::invalid_argument).
+  [[nodiscard]] std::unique_ptr<engines::SchedulerEngine> CreateEngine(
+      const engines::EngineRef& engine) const;
+
   /// Post-solve half of a compile: repair, packaging, peak-bytes — shared
   /// by the single, batch, and group paths so every route finishes a solve
   /// identically.
@@ -206,16 +186,19 @@ class PipelineCompiler {
       engines::EngineResult engine_result, const graph::Dag& dag,
       const sched::PipelineConstraints& constraints) const;
 
+  /// Validate, failpoint, ScheduleBatch, finish — one group on one engine
+  /// instance (CompileGroup and CompileBatch's batch chunks).
+  [[nodiscard]] std::vector<CompileResult> CompileGroupWith(
+      const engines::SchedulerEngine& engine,
+      std::span<const graph::Dag* const> dags,
+      const sched::PipelineConstraints& constraints,
+      const core::CancelToken& cancel, engines::SolveStats* stats) const;
   [[nodiscard]] CompileResult CompileWith(const engines::SchedulerEngine& engine,
                                           const graph::Dag& dag,
                                           const sched::PipelineConstraints&
                                               constraints,
                                           const core::CancelToken& cancel =
                                               {}) const;
-  [[nodiscard]] std::vector<CompileResult> CompileBatchWith(
-      const engines::SchedulerEngine& engine,
-      std::span<const graph::Dag* const> dags, int num_stages,
-      core::ThreadPool& pool, engines::SolveStats* stats) const;
 
   /// The current RL scheduler, behind a heap-allocated slot so the compiler
   /// stays movable: ReplaceRl swaps the inner pointer under the slot mutex

@@ -283,17 +283,131 @@ bool CompileService::DropIfExpiredLocked(Shard& shard,
   return true;
 }
 
-CompileService::ResultPtr CompileService::TryCached(const RequestKey& key) {
+CompileService::Job CompileService::MakeJob(
+    const CompileRequest& request, std::optional<RequestKey> key) const {
+  Job job;
+  job.request = &request;
+  job.record_access = !key.has_value();
+  job.key = key ? *std::move(key)
+                : MakeKey(request.dag, request.num_stages, request.engine,
+                          request.profile);
+  job.response.engine_name = job.key.engine_name;
+  job.response.requested_engine = job.key.engine_name;
+  job.response.key_hex = job.key.hash.ToHex();
+  return job;
+}
+
+double CompileService::BudgetFor(const CompileRequest& request) const {
+  return request.solve_budget_seconds > 0.0 ? request.solve_budget_seconds
+                                            : default_solve_budget_seconds_;
+}
+
+CompileService::Probe CompileService::ProbeMemory(Job& job, bool join) {
   OBS_SPAN("serve.cache_probe");
-  if (admission_ != nullptr) admission_->RecordAccess(key.hash);
-  Shard& shard = ShardFor(key.hash);
+  if (job.record_access && admission_ != nullptr) {
+    admission_->RecordAccess(job.key.hash);
+  }
+  job.record_access = false;
+  Shard& shard = ShardFor(job.key.hash);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.entries.find(key.hash);
-  if (it == shard.entries.end()) return nullptr;
-  if (DropIfExpiredLocked(shard, it->second)) return nullptr;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->result;
+  // An expired entry falls through as a miss (the disk copy, if any,
+  // carries the same TTL and the store's own check drops it).
+  if (const auto it = shard.entries.find(job.key.hash);
+      it != shard.entries.end() && !DropIfExpiredLocked(shard, it->second)) {
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    job.response.result = it->second->result;
+    job.response.outcome = CacheOutcome::kHit;
+    return Probe::kHit;
+  }
+  if (!join) return Probe::kMiss;
+  if (const auto it = shard.flights.find(job.key.hash);
+      it != shard.flights.end()) {
+    job.flight = it->second;
+    single_flight_waits_.fetch_add(1, std::memory_order_relaxed);
+    return Probe::kJoined;
+  }
+  job.flight = std::make_shared<Flight>();
+  job.flight->future = job.flight->promise.get_future().share();
+  shard.flights.emplace(job.key.hash, job.flight);
+  return Probe::kOwner;
+}
+
+bool CompileService::ProbeDisk(Job& job) {
+  if (store_ == nullptr) return false;
+  OBS_SPAN("serve.disk_probe");
+  std::int64_t expiry_ms = 0;
+  ResultPtr from_disk = store_->Probe(job.key.hash, &expiry_ms);
+  if (from_disk == nullptr) return false;
+  disk_hits_.fetch_add(1, std::memory_order_relaxed);
+  job.response.result = std::move(from_disk);
+  job.response.outcome = CacheOutcome::kDiskHit;
+  Publish(job, /*spill=*/false, PromoteExpiry(expiry_ms));
+  return true;
+}
+
+void CompileService::RunStages(std::span<Job* const> jobs) {
+  std::vector<Job*> owners;  // jobs that reach the solve stage
+  std::vector<Job*> joined;  // jobs waiting on another caller's flight
+  for (Job* job : jobs) {
+    switch (job->request->cache_policy) {
+      case CachePolicy::kBypass:
+        // Forced fresh solve, cache untouched; not counted as a miss
+        // (misses are cache-lookup outcomes, and this never looked).
+        bypasses_.fetch_add(1, std::memory_order_relaxed);
+        job->response.outcome = CacheOutcome::kBypass;
+        owners.push_back(job);
+        continue;
+      case CachePolicy::kRefresh:
+        refreshes_.fetch_add(1, std::memory_order_relaxed);
+        job->response.outcome = CacheOutcome::kRefresh;
+        owners.push_back(job);
+        continue;
+      case CachePolicy::kUse:
+        break;
+    }
+    const Probe probe = ProbeMemory(*job, /*join=*/true);
+    if (probe == Probe::kJoined) joined.push_back(job);
+    // The flight owner tries the persistent tier, then (fleet mode) its
+    // peers, before paying a solve; collapsed waiters share either answer
+    // exactly as they would a solve.
+    if (probe != Probe::kOwner || ProbeDisk(*job) || TryPeerWarm(*job)) {
+      continue;
+    }
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    job->response.outcome = CacheOutcome::kMiss;
+    owners.push_back(job);
+  }
+  if (!owners.empty()) SolveCold(owners);
+  for (Job* job : owners) {
+    // A refresh renews both tiers; a bypass never touches the cache.
+    if (job->request->cache_policy != CachePolicy::kBypass) {
+      Publish(*job, /*spill=*/true);
+    }
+  }
+  // Waiters last: a duplicate inside this call waits on a flight resolved
+  // just above, and a flight owned elsewhere belongs to running code —
+  // never to a queued task — so the get() cannot deadlock the pool.
+  for (Job* job : joined) {
+    try {
+      job->response.result = job->flight->future.get();
+      job->response.outcome = CacheOutcome::kCollapsed;
+      // served_by was written before set_value; get() ordered it.
+      job->response.engine_name = job->flight->served_by;
+      job->response.degraded = job->flight->served_by != job->key.engine_name;
+    } catch (...) {
+      job->failure = std::current_exception();  // the owner's failure
+    }
+  }
+}
+
+CompileResponse CompileService::Execute(const CompileRequest& request,
+                                        std::optional<RequestKey> key) {
+  Job job = MakeJob(request, std::move(key));
+  Job* const jobs[] = {&job};
+  RunStages(jobs);
+  if (job.failure != nullptr) std::rethrow_exception(job.failure);
+  return std::move(job.response);
 }
 
 CircuitBreaker& CompileService::BreakerFor(std::string_view engine) {
@@ -307,296 +421,203 @@ CircuitBreaker& CompileService::BreakerFor(std::string_view engine) {
   return *it->second;
 }
 
-CompileService::ResultPtr CompileService::SolveCold(
-    const graph::Dag& dag, int num_stages, const RequestKey& key,
-    const CompileRequest& params, double& solve_seconds,
-    SolveOutcome& outcome) {
+void CompileService::SolveCold(std::span<Job* const> owners) {
   // Candidate chain: the preferred engine, then each configured fallback
   // (minus the preferred engine itself — already first).
+  const std::string_view preferred = owners.front()->key.engine_name;
   std::vector<std::string_view> candidates;
   candidates.reserve(1 + fallback_chain_.size());
-  candidates.push_back(key.engine_name);
+  candidates.push_back(preferred);
   for (const std::string_view name : fallback_chain_) {
-    if (name != key.engine_name) candidates.push_back(name);
+    if (name != preferred) candidates.push_back(name);
   }
-
-  // Per-attempt budget: every candidate gets a fresh one — a fallback must
-  // not inherit the few microseconds the preferred engine left behind.
-  const double budget = params.solve_budget_seconds > 0.0
-                            ? params.solve_budget_seconds
-                            : default_solve_budget_seconds_;
+  const double budget = BudgetFor(*owners.front()->request);
 
   OBS_SPAN("serve.solve");
-  std::exception_ptr first_failure;
-  bool first_was_budget = false;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const std::string_view engine = candidates[i];
-    const bool last = i + 1 == candidates.size();
-    if (params.deadline && SteadyClock::now() > *params.deadline) {
-      // The request's own deadline passed between attempts: stop walking,
-      // the caller's waiter is already (or about to be) past caring.
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      failures_.fetch_add(1, std::memory_order_relaxed);
-      throw DeadlineExceeded(
-          "compile request deadline expired while walking the fallback "
-          "chain");
+  // Grouped phase: while >= 2 owners are unanswered and the candidate can
+  // lock-step them, they share ONE attempt.  A breaker skip moves the whole
+  // group on; a failed group attempt splits it.
+  std::size_t next = 0;
+  AttemptOutcome group_failure;
+  std::vector<Job*> group;
+  for (; owners.size() >= 2 && next < candidates.size(); ++next) {
+    group.clear();
+    for (Job* job : owners) {
+      if (job->failure == nullptr && !FailIfLapsed(*job)) group.push_back(job);
     }
-    CircuitBreaker* breaker = breaker_options_.failure_threshold > 0
-                                  ? &BreakerFor(engine)
-                                  : nullptr;
-    if (breaker != nullptr && !breaker->Allow() && !last) {
-      // Open breaker: skip the sick engine straight to its fallback.  The
-      // last candidate is always attempted — short-circuiting it would turn
-      // "sick engine" into "no answer at all".
-      obs::RecordInstant("serve.breaker_short_circuit", engine.data(),
-                         static_cast<std::uint32_t>(engine.size()));
-      continue;
-    }
-    // Engine names borrow from the registry (process lifetime), so the
-    // span's detail pointer stays valid for any later drain.
-    OBS_SPAN_DETAIL("serve.attempt", engine.data(), engine.size());
-    try {
-      const core::CancelToken cancel =
-          budget > 0.0 ? core::CancelToken::WithBudget(budget)
-                       : core::CancelToken();
-      const auto start = SteadyClock::now();
-      auto result = std::make_shared<const CompileResult>(
-          compiler_.Compile(dag, num_stages, engine, key.profile, cancel));
-      solve_seconds =
-          std::chrono::duration<double>(SteadyClock::now() - start).count();
-      solve_latency_.Record(solve_seconds);
-      // Load-compute-store EWMA: a lost race skews the admission estimate
-      // by one sample, which it tolerates by construction.
-      const double prev = ewma_solve_seconds_.load(std::memory_order_relaxed);
-      ewma_solve_seconds_.store(
-          prev == 0.0 ? solve_seconds : 0.8 * prev + 0.2 * solve_seconds,
-          std::memory_order_relaxed);
-      if (breaker != nullptr) breaker->RecordSuccess();
-      outcome.engine_used = engine;
-      outcome.degraded = engine != key.engine_name;
-      if (outcome.degraded) {
-        degraded_served_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return result;
-    } catch (const core::CancelledError&) {
-      budget_blown_.fetch_add(1, std::memory_order_relaxed);
-      if (breaker != nullptr) breaker->RecordFailure();
-      if (first_failure == nullptr) {
-        first_failure = std::current_exception();
-        first_was_budget = true;
-      }
-    } catch (...) {
-      if (breaker != nullptr) breaker->RecordFailure();
-      if (first_failure == nullptr) first_failure = std::current_exception();
+    if (group.size() < 2 || !EngineSupportsBatch(candidates[next])) break;
+    group_failure = Attempt(group, candidates[next],
+                            next + 1 == candidates.size(), budget);
+    if (!group_failure.skipped) {
+      ++next;
+      break;
     }
   }
+  // Per-owner phase: every owner still unanswered walks the rest of its
+  // own chain, each attempt under a fresh budget.
+  for (Job* job : owners) {
+    if (job->response.result == nullptr && job->failure == nullptr) {
+      WalkChain(*job, candidates, next, budget, group_failure);
+    }
+  }
+}
 
+void CompileService::WalkChain(Job& job,
+                               std::span<const std::string_view> candidates,
+                               std::size_t from, double budget,
+                               AttemptOutcome first) {
+  Job* const jobs[] = {&job};
+  for (std::size_t i = from; i < candidates.size(); ++i) {
+    if (FailIfLapsed(job)) return;
+    AttemptOutcome outcome =
+        Attempt(jobs, candidates[i], i + 1 == candidates.size(), budget);
+    if (outcome.skipped) continue;
+    if (outcome.error == nullptr) return;
+    if (first.error == nullptr) first = std::move(outcome);
+  }
   fallback_exhausted_.fetch_add(1, std::memory_order_relaxed);
   failures_.fetch_add(1, std::memory_order_relaxed);
-  if (first_was_budget) {
+  job.failure = first.error;
+  if (first.budget) {
     // The chain died on budgets: surface the typed error the serving
     // contract promises, not the internal cancellation type.
     deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    throw DeadlineExceeded(
+    job.failure = std::make_exception_ptr(DeadlineExceeded(
         "solve budget exhausted across the engine chain (preferred \"" +
-        std::string(key.engine_name) + "\" plus " +
-        std::to_string(candidates.size() - 1) + " fallback(s))");
+        std::string(job.key.engine_name) + "\" plus " +
+        std::to_string(candidates.size() - 1) + " fallback(s))"));
   }
-  std::rethrow_exception(first_failure);
 }
 
-void CompileService::ExecuteCached(const graph::Dag& dag,
-                                   const CompileRequest& params,
-                                   const RequestKey& key, bool record_access,
-                                   CompileResponse& response) {
-  const int num_stages = params.num_stages;
-  if (record_access && admission_ != nullptr) {
-    admission_->RecordAccess(key.hash);
-  }
-  Shard& shard = ShardFor(key.hash);
+bool CompileService::FailIfLapsed(Job& job) {
+  const auto& deadline = job.request->deadline;
+  if (!deadline || SteadyClock::now() <= *deadline) return false;
+  // The request's own deadline passed between attempts: stop walking, the
+  // caller's waiter is already (or about to be) past caring.
+  deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+  failures_.fetch_add(1, std::memory_order_relaxed);
+  job.failure = std::make_exception_ptr(DeadlineExceeded(
+      "compile request deadline expired while walking the fallback chain"));
+  return true;
+}
 
-  std::shared_ptr<Flight> flight;
-  bool owner = false;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (const auto it = shard.entries.find(key.hash);
-        it != shard.entries.end()) {
-      if (!DropIfExpiredLocked(shard, it->second)) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        response.result = it->second->result;
-        response.outcome = CacheOutcome::kHit;
-        return;
-      }
-      // Expired: fall through as a miss (the disk copy, if any, carries
-      // the same TTL and will be dropped by the store's own check).
-    }
-    if (const auto it = shard.flights.find(key.hash);
-        it != shard.flights.end()) {
-      flight = it->second;
-      single_flight_waits_.fetch_add(1, std::memory_order_relaxed);
+CompileService::AttemptOutcome CompileService::Attempt(
+    std::span<Job* const> jobs, std::string_view engine, bool last,
+    double budget) {
+  AttemptOutcome outcome;
+  CircuitBreaker* breaker = breaker_options_.failure_threshold > 0
+                                ? &BreakerFor(engine)
+                                : nullptr;
+  if (breaker != nullptr && !breaker->Allow() && !last) {
+    // Open breaker: skip the sick engine straight to its fallback.  The
+    // last candidate is always attempted — short-circuiting it would turn
+    // "sick engine" into "no answer at all".
+    obs::RecordInstant("serve.breaker_short_circuit", engine.data(),
+                       static_cast<std::uint32_t>(engine.size()));
+    outcome.skipped = true;
+    return outcome;
+  }
+  // Engine names borrow from the registry (process lifetime), so the
+  // span's detail pointer stays valid for any later drain.
+  OBS_SPAN_DETAIL("serve.attempt", engine.data(), engine.size());
+  const Job& lead = *jobs.front();
+  try {
+    const core::CancelToken cancel = budget > 0.0
+                                         ? core::CancelToken::WithBudget(budget)
+                                         : core::CancelToken();
+    const auto start = SteadyClock::now();
+    std::vector<CompileResult> results;
+    if (jobs.size() == 1) {
+      results.push_back(compiler_.Compile(lead.request->dag,
+                                          lead.request->num_stages, engine,
+                                          lead.key.profile, cancel));
     } else {
-      flight = std::make_shared<Flight>();
-      flight->future = flight->promise.get_future().share();
-      shard.flights.emplace(key.hash, flight);
-      owner = true;
+      std::vector<const graph::Dag*> dags;
+      dags.reserve(jobs.size());
+      for (const Job* job : jobs) dags.push_back(&job->request->dag);
+      engines::SolveStats stats;
+      results = compiler_.CompileGroup(dags, lead.request->num_stages, engine,
+                                       lead.key.profile, cancel, &stats);
+      batch_solved_.fetch_add(stats.batch_solved, std::memory_order_relaxed);
+      batch_single_.fetch_add(stats.single_solved, std::memory_order_relaxed);
+      batch_groups_.fetch_add(stats.batch_groups, std::memory_order_relaxed);
     }
+    // A group shares its solve: total / B is what each request paid.
+    const double seconds =
+        std::chrono::duration<double>(SteadyClock::now() - start).count() /
+        static_cast<double>(jobs.size());
+    if (breaker != nullptr) breaker->RecordSuccess();
+    // Load-compute-store EWMA: a lost race skews the admission estimate by
+    // one sample, which it tolerates by construction.
+    const double prev = ewma_solve_seconds_.load(std::memory_order_relaxed);
+    ewma_solve_seconds_.store(
+        prev == 0.0 ? seconds : 0.8 * prev + 0.2 * seconds,
+        std::memory_order_relaxed);
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      CompileResponse& response = jobs[k]->response;
+      solve_latency_.Record(seconds);
+      response.result =
+          std::make_shared<const CompileResult>(std::move(results[k]));
+      response.solve_seconds = seconds;
+      if (engine != jobs[k]->key.engine_name) {
+        response.degraded = true;
+        response.engine_name = engine;
+        degraded_served_.fetch_add(1, std::memory_order_relaxed);
+      } else if (jobs.size() == 1 && lead.grouped) {
+        // A group member its group could not lock-step: a straggler.
+        batch_single_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    return outcome;
+  } catch (const core::CancelledError&) {
+    budget_blown_.fetch_add(1, std::memory_order_relaxed);
+    outcome.error = std::current_exception();
+    outcome.budget = true;
+  } catch (...) {
+    outcome.error = std::current_exception();
   }
+  if (breaker != nullptr) breaker->RecordFailure();
+  return outcome;
+}
 
-  if (!owner) {
-    response.result = flight->future.get();  // rethrows the owner's failure
-    response.outcome = CacheOutcome::kCollapsed;
-    if (flight->degraded) {  // written before set_value; get() ordered it
-      response.degraded = true;
-      response.engine_name = flight->served_by;
+void CompileService::Publish(
+    Job& job, bool spill,
+    std::optional<std::chrono::steady_clock::time_point> expires_at) {
+  Shard& shard = ShardFor(job.key.hash);
+  if (job.failure != nullptr) {  // failures are never cached
+    if (job.flight != nullptr) {
+      {
+        const std::lock_guard<std::mutex> lock(shard.mutex);
+        shard.flights.erase(job.key.hash);
+      }
+      job.flight->promise.set_exception(job.failure);
     }
     return;
   }
-
-  // The flight owner probes the persistent tier before paying a solve —
-  // the one synchronous disk read on the request path.  Collapsed waiters
-  // share the disk hit exactly as they would a solve.
-  if (store_ != nullptr) {
-    OBS_SPAN("serve.disk_probe");
-    std::int64_t disk_expiry_ms = 0;
-    if (ResultPtr from_disk = store_->Probe(key.hash, &disk_expiry_ms)) {
-      disk_hits_.fetch_add(1, std::memory_order_relaxed);
-      {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        InsertLocked(shard, key, from_disk,
-                     PromoteExpiry(disk_expiry_ms));  // subject to admission
-        shard.flights.erase(key.hash);
-      }
-      flight->promise.set_value(from_disk);
-      response.result = std::move(from_disk);
-      response.outcome = CacheOutcome::kDiskHit;
-      return;
-    }
+  const ResultPtr& result = job.response.result;
+  // A fallback's answer is cached (and spilled) under the fallback engine's
+  // OWN key — the preferred engine's key must never serve a degraded result
+  // once the engine recovers.  The flight under the preferred key still
+  // resolves, so collapsed waiters share the answer, tagged degraded.
+  std::optional<RequestKey> fallback_key;
+  if (job.response.degraded) {
+    fallback_key = MakeKey(job.request->dag, job.request->num_stages,
+                           EngineRef(job.response.engine_name),
+                           job.key.profile.name);
+    Shard& used = ShardFor(fallback_key->hash);
+    const std::lock_guard<std::mutex> lock(used.mutex);
+    InsertLocked(used, *fallback_key, result, expires_at);
   }
-
-  // Both local tiers missed: in fleet mode, ask peers for their spill
-  // envelope before paying an engine solve.  A verified fetch settles the
-  // flight exactly like a disk hit; any failure falls through to the solve.
-  if (TryPeerWarm(key, shard, flight, response)) return;
-
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  try {
-    double solve_seconds = 0.0;
-    SolveOutcome outcome;
-    ResultPtr result =
-        SolveCold(dag, num_stages, key, params, solve_seconds, outcome);
-    if (!outcome.degraded) {
-      {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        InsertLocked(shard, key, result);
-        shard.flights.erase(key.hash);
-      }
-      flight->promise.set_value(result);
-      EnqueueWriteback(key, result);
-    } else {
-      // A fallback answered.  Cache (and spill) the result under the
-      // fallback engine's OWN key — the preferred engine's key must never
-      // serve a degraded result once the engine recovers.  The flight under
-      // the preferred key still resolves so collapsed waiters share this
-      // answer, tagged degraded via the flight's provenance fields.
-      const RequestKey used_key = MakeKey(
-          dag, num_stages, EngineRef(std::string(outcome.engine_used)),
-          key.profile.name);
-      Shard& used_shard = ShardFor(used_key.hash);
-      {
-        const std::lock_guard<std::mutex> lock(used_shard.mutex);
-        InsertLocked(used_shard, used_key, result);
-      }
-      {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.flights.erase(key.hash);
-      }
-      flight->degraded = true;
-      flight->served_by = outcome.engine_used;
-      flight->promise.set_value(result);
-      EnqueueWriteback(used_key, result);
-      response.degraded = true;
-      response.engine_name = outcome.engine_used;
-    }
-    response.result = std::move(result);
-    response.outcome = CacheOutcome::kMiss;
-    response.solve_seconds = solve_seconds;
-  } catch (...) {
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.flights.erase(key.hash);
-    }
-    flight->promise.set_exception(std::current_exception());
-    throw;
+  {
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    if (!fallback_key) InsertLocked(shard, job.key, result, expires_at);
+    if (job.flight != nullptr) shard.flights.erase(job.key.hash);
   }
-}
-
-CompileResponse CompileService::Execute(
-    const graph::Dag& dag, const CompileRequest& params,
-    const std::optional<RequestKey>& precomputed) {
-  const RequestKey key = precomputed ? *precomputed
-                                     : MakeKey(dag, params.num_stages,
-                                               params.engine, params.profile);
-  CompileResponse response;
-  response.engine_name = key.engine_name;
-  response.requested_engine = key.engine_name;
-  response.key_hex = key.hash.ToHex();
-  switch (params.cache_policy) {
-    case CachePolicy::kUse:
-      // A precomputed key means the batch path probed (and recorded) this
-      // request in TryCached already — don't double-count it in the
-      // admission sketch.
-      ExecuteCached(dag, params, key,
-                    /*record_access=*/!precomputed.has_value(), response);
-      break;
-    case CachePolicy::kBypass: {
-      // Forced fresh solve, cache untouched; not counted as a miss (misses
-      // are cache-lookup outcomes, and this never looked).
-      bypasses_.fetch_add(1, std::memory_order_relaxed);
-      SolveOutcome outcome;
-      response.result = SolveCold(dag, params.num_stages, key, params,
-                                  response.solve_seconds, outcome);
-      response.outcome = CacheOutcome::kBypass;
-      if (outcome.degraded) {
-        response.degraded = true;
-        response.engine_name = outcome.engine_used;
-      }
-      break;
-    }
-    case CachePolicy::kRefresh: {
-      refreshes_.fetch_add(1, std::memory_order_relaxed);
-      SolveOutcome outcome;
-      ResultPtr result = SolveCold(dag, params.num_stages, key, params,
-                                   response.solve_seconds, outcome);
-      if (!outcome.degraded) {
-        {
-          Shard& shard = ShardFor(key.hash);
-          const std::lock_guard<std::mutex> lock(shard.mutex);
-          InsertLocked(shard, key, result);
-        }
-        EnqueueWriteback(key, result);  // a refresh renews the disk copy too
-      } else {
-        // A degraded refresh must not overwrite the preferred engine's
-        // entry with a fallback result — it lands under the fallback
-        // engine's key, exactly like the kUse path.
-        const RequestKey used_key = MakeKey(
-            dag, params.num_stages, EngineRef(std::string(outcome.engine_used)),
-            key.profile.name);
-        {
-          Shard& used_shard = ShardFor(used_key.hash);
-          const std::lock_guard<std::mutex> lock(used_shard.mutex);
-          InsertLocked(used_shard, used_key, result);
-        }
-        EnqueueWriteback(used_key, result);
-        response.degraded = true;
-        response.engine_name = outcome.engine_used;
-      }
-      response.result = std::move(result);
-      response.outcome = CacheOutcome::kRefresh;
-      break;
-    }
+  if (job.flight != nullptr) {
+    job.flight->served_by = job.response.engine_name;
+    job.flight->promise.set_value(result);
   }
-  return response;
+  if (spill) EnqueueWriteback(fallback_key ? *fallback_key : job.key, result);
 }
 
 void CompileService::EnqueueWriteback(const RequestKey& key,
@@ -686,16 +707,14 @@ bool CompileService::ImportSpill(const graph::CanonicalHash& key,
   return store_ != nullptr && store_->ImportRaw(key, bytes);
 }
 
-bool CompileService::TryPeerWarm(const RequestKey& key, Shard& shard,
-                                 const std::shared_ptr<Flight>& flight,
-                                 CompileResponse& response) {
+bool CompileService::TryPeerWarm(Job& job) {
   const std::shared_ptr<const PeerFetchFn> fetch = PeerFetchSnapshot();
   if (fetch == nullptr) return false;
   OBS_SPAN("serve.peer_fetch");
   peer_fetches_.fetch_add(1, std::memory_order_relaxed);
   std::string bytes;
   try {
-    bytes = (*fetch)(key.hash);
+    bytes = (*fetch)(job.key.hash);
   } catch (...) {
     // A dead or slow peer degrades to a local solve — never a request
     // failure.
@@ -706,7 +725,7 @@ bool CompileService::TryPeerWarm(const RequestKey& key, Shard& shard,
   const std::optional<store::SpillEnvelope> envelope =
       store::TryDecodeSpillEnvelope(bytes);
   const bool usable =
-      envelope && envelope->meta.key == key.hash &&
+      envelope && envelope->meta.key == job.key.hash &&
       (envelope->expires_at_unix_ms == 0 ||
        std::chrono::system_clock::now() <
            std::chrono::system_clock::time_point(
@@ -718,19 +737,12 @@ bool CompileService::TryPeerWarm(const RequestKey& key, Shard& shard,
     return false;
   }
   if (store_ != nullptr) {
-    store_->ImportRaw(key.hash, bytes);  // durable warmth; refusal is fine
+    store_->ImportRaw(job.key.hash, bytes);  // durable warmth; refusal is fine
   }
   peer_hits_.fetch_add(1, std::memory_order_relaxed);
-  ResultPtr result = envelope->result;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    InsertLocked(shard, key, result,
-                 PromoteExpiry(envelope->expires_at_unix_ms));
-    shard.flights.erase(key.hash);
-  }
-  flight->promise.set_value(result);
-  response.result = std::move(result);
-  response.outcome = CacheOutcome::kPeerHit;
+  job.response.result = envelope->result;
+  job.response.outcome = CacheOutcome::kPeerHit;
+  Publish(job, /*spill=*/false, PromoteExpiry(envelope->expires_at_unix_ms));
   return true;
 }
 
@@ -744,44 +756,13 @@ graph::CanonicalHash CompileService::KeyFor(
 std::optional<CompileResponse> CompileService::TryServeLocal(
     const CompileRequest& request) {
   if (request.cache_policy != CachePolicy::kUse) return std::nullopt;
-  const RequestKey key = MakeKey(request.dag, request.num_stages,
-                                 request.engine, request.profile);
-  CompileResponse response;
-  response.engine_name = key.engine_name;
-  response.requested_engine = key.engine_name;
-  response.key_hex = key.hash.ToHex();
   // Note: a miss here followed by a full Compile records the admission
   // access twice — a one-sample skew the frequency sketch tolerates.
-  if (ResultPtr cached = TryCached(key)) {
-    response.result = std::move(cached);
-    response.outcome = CacheOutcome::kHit;
-    return response;
-  }
-  if (store_ != nullptr) {
-    std::int64_t disk_expiry_ms = 0;
-    if (ResultPtr from_disk = store_->Probe(key.hash, &disk_expiry_ms)) {
-      disk_hits_.fetch_add(1, std::memory_order_relaxed);
-      Shard& shard = ShardFor(key.hash);
-      {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        InsertLocked(shard, key, from_disk, PromoteExpiry(disk_expiry_ms));
-      }
-      response.result = std::move(from_disk);
-      response.outcome = CacheOutcome::kDiskHit;
-      return response;
-    }
+  Job job = MakeJob(request, std::nullopt);
+  if (ProbeMemory(job, /*join=*/false) == Probe::kHit || ProbeDisk(job)) {
+    return std::move(job.response);
   }
   return std::nullopt;
-}
-
-CompileResponse CompileService::CompileOn(const graph::Dag& dag,
-                                          const CompileRequest& params) {
-  if (params.deadline && SteadyClock::now() > *params.deadline) {
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    throw DeadlineExceeded(
-        "compile request deadline expired before the solve started");
-  }
-  return Execute(dag, params, std::nullopt);
 }
 
 CompileResponse CompileService::Compile(const CompileRequest& request) {
@@ -793,7 +774,12 @@ CompileResponse CompileService::Compile(const CompileRequest& request) {
   }
   const obs::ScopedTraceId trace_scope(trace_id);
   OBS_SPAN("serve.compile");
-  return CompileOn(request.dag, request);
+  if (request.deadline && SteadyClock::now() > *request.deadline) {
+    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+    throw DeadlineExceeded(
+        "compile request deadline expired before the solve started");
+  }
+  return Execute(request, std::nullopt);
 }
 
 CompileService::Ticket CompileService::Submit(CompileRequest request) {
@@ -877,32 +863,21 @@ CompileService::Ticket CompileService::SubmitInternal(
 
   try {
     pool_->Submit(
-        [this, pending, lane] {
+        [this, pending] {
           const obs::ScopedTraceId trace_scope(pending->request.trace_id);
           OBS_SPAN("serve.request");
-          const double wait = std::chrono::duration<double>(
-                                  SteadyClock::now() - pending->enqueue_time)
-                                  .count();
           // Belt and braces: the lane queue fails expired entries at pop
           // time, but the FIFO baseline doesn't, and a deadline can pass
           // between the pop decision and this first instruction.
-          if (pending->request.deadline &&
-              SteadyClock::now() > *pending->request.deadline) {
-            lane_counters_[lane].expired.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            BumpTenant(pending->request.tenant, &TenantMetrics::expired);
-            deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-            pending->promise.set_exception(std::make_exception_ptr(
-                DeadlineExceeded("compile request deadline expired after " +
-                                 std::to_string(wait) + "s in queue")));
+          double wait = 0.0;
+          if (std::exception_ptr expired = StartQueued(
+                  pending->request, pending->enqueue_time, wait)) {
+            pending->promise.set_exception(expired);
             return;
           }
-          lane_counters_[lane].started.fetch_add(1, std::memory_order_relaxed);
-          BumpTenant(pending->request.tenant, &TenantMetrics::started);
-          lane_wait_[lane].Record(wait);
           try {
             CompileResponse response =
-                Execute(pending->request.dag, pending->request, pending->key);
+                Execute(pending->request, std::move(pending->key));
             response.queue_wait_seconds = wait;
             pending->promise.set_value(std::move(response));
           } catch (...) {
@@ -920,6 +895,26 @@ CompileService::Ticket CompileService::SubmitInternal(
   return ticket;
 }
 
+std::exception_ptr CompileService::StartQueued(
+    const CompileRequest& request, SteadyClock::time_point enqueue_time,
+    double& wait) {
+  const std::size_t lane = LaneIndex(request.priority);
+  wait = std::chrono::duration<double>(SteadyClock::now() - enqueue_time)
+             .count();
+  if (request.deadline && SteadyClock::now() > *request.deadline) {
+    lane_counters_[lane].expired.fetch_add(1, std::memory_order_relaxed);
+    BumpTenant(request.tenant, &TenantMetrics::expired);
+    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+    return std::make_exception_ptr(
+        DeadlineExceeded("compile request deadline expired after " +
+                         std::to_string(wait) + "s in queue"));
+  }
+  lane_counters_[lane].started.fetch_add(1, std::memory_order_relaxed);
+  BumpTenant(request.tenant, &TenantMetrics::started);
+  lane_wait_[lane].Record(wait);
+  return nullptr;
+}
+
 bool CompileService::EngineSupportsBatch(std::string_view engine_name) const {
   return engines::EngineRegistry::Global()
       .Create(engine_name, compiler_.MakeEngineContext())
@@ -928,76 +923,62 @@ bool CompileService::EngineSupportsBatch(std::string_view engine_name) const {
 
 std::vector<CompileResponse> CompileService::CompileBatch(
     std::span<const CompileRequest> requests) {
-  // Warm kUse entries answer in place — no Dag copy, no pool round-trip (an
-  // all-warm batch costs one key hash + shard lookup per request, like the
-  // sync path).  Cold kUse misses on a batch-capable engine group by
-  // (engine, num_stages, node count): each group of >= 2 becomes ONE pool
-  // task that lock-steps the whole group through a batched decode
+  // Warm kUse entries answer in place — no Dag copy, no pool round-trip.
+  // Cold kUse misses on a batch-capable engine group by everything one
+  // shared solve attempt needs in common; each group of >= 2 becomes ONE
+  // pool task running the request pipeline over the whole group
   // (RunBatchGroup), so a post-ReplaceRl miss storm refills at GEMM speed.
-  // Everything else fans out as ordinary async requests on its own lane, so
-  // cold graphs get the full single-flight treatment; results gather in
-  // input order.  Waiters never deadlock the pool: a flight owner finishes
-  // without needing any other queued task (flights only ever belong to
-  // running code, so a queued duplicate that runs later simply hits the
-  // cache or the resolved flight).
+  // Everything else fans out as ordinary async requests on its own lane;
+  // results gather in input order.
   std::vector<CompileResponse> responses(requests.size());
   std::vector<std::pair<std::size_t, Ticket>> pending;
 
-  // Cold batch candidates, grouped by (canonical engine, stages, nodes,
-  // profile fingerprint) — only same-shape graphs targeting the same
-  // hardware can lock-step.  std::map keeps group order (and thus solve
-  // order) deterministic for a given input.
+  // (canonical engine, stages, nodes, profile fingerprint, per-attempt
+  // budget): only same-shape graphs targeting the same hardware can
+  // lock-step, and one token has one budget.  std::map keeps group order
+  // (and thus solve order) deterministic for a given input.
   std::map<std::tuple<std::string_view, int, int, std::uint64_t,
-                      std::uint64_t>,
+                      std::uint64_t, double>,
            std::vector<GroupMember>>
       groups;
   std::map<std::string_view, bool> supports_batch;
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const CompileRequest& request = requests[i];
-    if (request.cache_policy == CachePolicy::kUse) {
-      RequestKey key = MakeKey(request.dag, request.num_stages, request.engine,
-                               request.profile);
-      if (ResultPtr cached = TryCached(key)) {
-        responses[i].result = std::move(cached);
-        responses[i].outcome = CacheOutcome::kHit;
-        responses[i].engine_name = key.engine_name;
-        responses[i].key_hex = key.hash.ToHex();
-        continue;
-      }
-      if (batch_decode_) {
-        // One SupportsBatch probe per distinct engine in the batch.
-        auto [probe, inserted] = supports_batch.try_emplace(key.engine_name);
-        if (inserted) probe->second = EngineSupportsBatch(key.engine_name);
-        if (probe->second) {
-          GroupMember member;
-          member.index = i;
-          member.enqueue_time = SteadyClock::now();
-          const auto group_key = std::make_tuple(
-              key.engine_name, request.num_stages, request.dag.NodeCount(),
-              key.profile_fingerprint.hi, key.profile_fingerprint.lo);
-          member.key = std::move(key);
-          groups[group_key].push_back(std::move(member));
-          continue;
-        }
-      }
-      pending.emplace_back(i, SubmitInternal(request, std::move(key)));
+    if (request.cache_policy != CachePolicy::kUse) {
+      pending.emplace_back(i, SubmitInternal(request, std::nullopt));
       continue;
     }
-    pending.emplace_back(i, SubmitInternal(request, std::nullopt));
+    Job job = MakeJob(request, std::nullopt);
+    if (ProbeMemory(job, /*join=*/false) == Probe::kHit) {
+      responses[i] = std::move(job.response);
+      continue;
+    }
+    if (batch_decode_) {
+      // One SupportsBatch probe per distinct engine in the batch.
+      auto [probe, inserted] = supports_batch.try_emplace(job.key.engine_name);
+      if (inserted) probe->second = EngineSupportsBatch(job.key.engine_name);
+      if (probe->second) {
+        const auto group_key = std::make_tuple(
+            job.key.engine_name, request.num_stages, request.dag.NodeCount(),
+            job.key.profile_fingerprint.hi, job.key.profile_fingerprint.lo,
+            BudgetFor(request));
+        groups[group_key].push_back(
+            GroupMember{i, std::move(job), {}, SteadyClock::now()});
+        continue;
+      }
+    }
+    pending.emplace_back(i, SubmitInternal(request, std::move(job.key)));
   }
 
   for (auto& [group_key, members] : groups) {
     if (members.size() < 2) {
       // Lone candidate: no batch to form — the ordinary async path.
-      for (GroupMember& m : members) {
-        pending.emplace_back(m.index,
-                             SubmitInternal(requests[m.index], std::move(m.key)));
-      }
+      GroupMember& m = members.front();
+      pending.emplace_back(m.index,
+                           SubmitInternal(requests[m.index], std::move(m.job.key)));
       continue;
     }
-    const int num_stages = std::get<1>(group_key);
-    const std::string_view engine_name = std::get<0>(group_key);
     // The group task runs on the most urgent member's lane so a grouped
     // interactive miss is not demoted behind batch-lane floods; per-member
     // lane counters still record each request under its own lane.
@@ -1009,21 +990,17 @@ std::vector<CompileResponse> CompileService::CompileBatch(
       task_lane = std::min(task_lane, lane);
       pending.emplace_back(m.index, Ticket(m.promise.get_future().share()));
     }
-    // `requests` is captured by view: CompileBatch blocks on every ticket
-    // below before returning, so the span outlives the task.  The group
-    // task queues under the first member's tenant flow — one grouped solve
-    // is one unit of service however many members share it.
-    std::string task_flow = requests[members.front().index].tenant;
-    auto shared_members =
-        std::make_shared<std::vector<GroupMember>>(std::move(members));
+    // Jobs borrow `requests`: CompileBatch blocks on every ticket below
+    // before returning, so the span outlives the task.  The group task
+    // queues under the first member's tenant flow — one grouped solve is
+    // one unit of service however many members share it.
     core::ThreadPool::TaskAttrs attrs;
     attrs.lane = static_cast<int>(task_lane);
-    attrs.flow = std::move(task_flow);
-    pool_->Submit(
-        [this, requests, num_stages, engine_name, shared_members] {
-          RunBatchGroup(requests, num_stages, engine_name, *shared_members);
-        },
-        std::move(attrs));
+    attrs.flow = requests[members.front().index].tenant;
+    auto shared_members =
+        std::make_shared<std::vector<GroupMember>>(std::move(members));
+    pool_->Submit([this, shared_members] { RunBatchGroup(*shared_members); },
+                  std::move(attrs));
   }
 
   std::exception_ptr first_failure;
@@ -1038,275 +1015,26 @@ std::vector<CompileResponse> CompileService::CompileBatch(
   return responses;
 }
 
-void CompileService::RunBatchGroup(std::span<const CompileRequest> requests,
-                                   int num_stages,
-                                   std::string_view engine_name,
-                                   std::vector<GroupMember>& members) {
-  struct Active {
-    GroupMember* member = nullptr;
-    std::shared_ptr<Flight> flight;
-    double wait_seconds = 0.0;
-  };
-  std::vector<Active> owners;
-  std::vector<Active> waiters;
-  owners.reserve(members.size());
-
+void CompileService::RunBatchGroup(std::vector<GroupMember>& members) {
   OBS_SPAN("serve.batch_group");
-  const auto respond = [](GroupMember& m, CacheOutcome outcome,
-                          ResultPtr result, double wait, double solve) {
-    CompileResponse response;
-    response.result = std::move(result);
-    response.outcome = outcome;
-    response.queue_wait_seconds = wait;
-    response.solve_seconds = solve;
-    response.engine_name = m.key.engine_name;
-    response.key_hex = m.key.hash.ToHex();
-    m.promise.set_value(std::move(response));
-  };
-
-  // Phase 1 — per member: settle deadline expiries and late cache hits
-  // (another worker may have filled the entry since the probe), then
-  // acquire or join the single-flight slot.  Flights only ever belong to
-  // running code, so the waiter joins below can never block on a task
-  // still sitting in the queue.
+  std::vector<Job*> jobs;
+  jobs.reserve(members.size());
   for (GroupMember& m : members) {
-    const CompileRequest& request = requests[m.index];
-    const std::size_t lane = LaneIndex(request.priority);
-    const double wait = std::chrono::duration<double>(SteadyClock::now() -
-                                                      m.enqueue_time)
-                            .count();
-    if (request.deadline && SteadyClock::now() > *request.deadline) {
-      lane_counters_[lane].expired.fetch_add(1, std::memory_order_relaxed);
-      BumpTenant(request.tenant, &TenantMetrics::expired);
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      m.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-          "compile request deadline expired after " + std::to_string(wait) +
-          "s in queue (batched group)")));
-      continue;
-    }
-    lane_counters_[lane].started.fetch_add(1, std::memory_order_relaxed);
-    BumpTenant(request.tenant, &TenantMetrics::started);
-    lane_wait_[lane].Record(wait);
-
-    Shard& shard = ShardFor(m.key.hash);
-    std::shared_ptr<Flight> flight;
-    ResultPtr hit;
-    bool owner = false;
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      if (const auto it = shard.entries.find(m.key.hash);
-          it != shard.entries.end() && !DropIfExpiredLocked(shard, it->second)) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        hit = it->second->result;
-      } else if (const auto fit = shard.flights.find(m.key.hash);
-                 fit != shard.flights.end()) {
-        flight = fit->second;
-        single_flight_waits_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        flight = std::make_shared<Flight>();
-        flight->future = flight->promise.get_future().share();
-        shard.flights.emplace(m.key.hash, flight);
-        owner = true;
-      }
-    }
-    if (hit != nullptr) {
-      respond(m, CacheOutcome::kHit, std::move(hit), wait, 0.0);
-      continue;
-    }
-    if (!owner) {
-      waiters.push_back({&m, std::move(flight), wait});
-      continue;
-    }
-
-    // Owner: probe the persistent tier before paying a solve, exactly as
-    // the single-request path does.
-    if (store_ != nullptr) {
-      std::int64_t disk_expiry_ms = 0;
-      if (ResultPtr from_disk = store_->Probe(m.key.hash, &disk_expiry_ms)) {
-        disk_hits_.fetch_add(1, std::memory_order_relaxed);
-        std::optional<SteadyClock::time_point> promote_expiry;
-        if (disk_expiry_ms != 0) {
-          const auto remaining =
-              std::chrono::system_clock::time_point(
-                  std::chrono::milliseconds(disk_expiry_ms)) -
-              std::chrono::system_clock::now();
-          promote_expiry =
-              SteadyClock::now() +
-              std::chrono::duration_cast<SteadyClock::duration>(remaining);
-        }
-        {
-          const std::lock_guard<std::mutex> lock(shard.mutex);
-          InsertLocked(shard, m.key, from_disk, promote_expiry);
-          shard.flights.erase(m.key.hash);
-        }
-        flight->promise.set_value(from_disk);
-        respond(m, CacheOutcome::kDiskHit, std::move(from_disk), wait, 0.0);
-        continue;
-      }
-    }
-    owners.push_back({&m, std::move(flight), wait});
+    double wait = 0.0;
+    m.job.failure = StartQueued(*m.job.request, m.enqueue_time, wait);
+    m.job.response.queue_wait_seconds = wait;
+    m.job.grouped = true;
+    if (m.job.failure == nullptr) jobs.push_back(&m.job);
   }
-
-  // Phase 2 — every surviving cold owner solves through ONE inline
-  // CompileGroup call on this worker (same-size groups of >= 2 take the
-  // lock-stepped batch decode; a lone survivor degrades to a per-graph
-  // solve inside the same call).  Solve latency is amortized: total / B is
-  // what each request effectively paid.
-  if (!owners.empty()) {
-    misses_.fetch_add(owners.size(), std::memory_order_relaxed);
-    try {
-      std::vector<const graph::Dag*> dags;
-      dags.reserve(owners.size());
-      for (const Active& a : owners) {
-        dags.push_back(&requests[a.member->index].dag);
-      }
-      engines::SolveStats stats;
-      const auto start = SteadyClock::now();
-      // Every owner shares one profile (the group key includes its
-      // fingerprint), so the group solve targets the first owner's.
-      std::vector<CompileResult> results = compiler_.CompileGroup(
-          std::span<const graph::Dag* const>(dags), num_stages, engine_name,
-          owners.front().member->key.profile, &stats);
-      const double total =
-          std::chrono::duration<double>(SteadyClock::now() - start).count();
-      const double amortized = total / static_cast<double>(owners.size());
-      batch_solved_.fetch_add(stats.batch_solved, std::memory_order_relaxed);
-      batch_single_.fetch_add(stats.single_solved, std::memory_order_relaxed);
-      batch_groups_.fetch_add(stats.batch_groups, std::memory_order_relaxed);
-      for (std::size_t k = 0; k < owners.size(); ++k) {
-        Active& a = owners[k];
-        solve_latency_.Record(amortized);
-        ResultPtr result =
-            std::make_shared<const CompileResult>(std::move(results[k]));
-        Shard& shard = ShardFor(a.member->key.hash);
-        {
-          const std::lock_guard<std::mutex> lock(shard.mutex);
-          InsertLocked(shard, a.member->key, result);
-          shard.flights.erase(a.member->key.hash);
-        }
-        a.flight->promise.set_value(result);
-        EnqueueWriteback(a.member->key, result);
-        respond(*a.member, CacheOutcome::kMiss, std::move(result),
-                a.wait_seconds, amortized);
-      }
-    } catch (...) {
-      // One grouped solve, one failure: every owner's flight and ticket
-      // rethrow it (collapsed waiters inherit through the flights below).
-      failures_.fetch_add(owners.size(), std::memory_order_relaxed);
-      const std::exception_ptr failure = std::current_exception();
-      for (Active& a : owners) {
-        Shard& shard = ShardFor(a.member->key.hash);
-        {
-          const std::lock_guard<std::mutex> lock(shard.mutex);
-          shard.flights.erase(a.member->key.hash);
-        }
-        a.flight->promise.set_exception(failure);
-        a.member->promise.set_exception(failure);
-      }
-    }
-  }
-
-  // Phase 3 — waiters join whatever their flight's owner produced.  A
-  // duplicate key inside this group waits on a flight phase 2 already
-  // resolved; a flight owned by another worker is actively solving, so the
-  // get() blocks on running code, never on the queue.
-  for (Active& a : waiters) {
-    try {
-      ResultPtr result = a.flight->future.get();
-      respond(*a.member, CacheOutcome::kCollapsed, std::move(result),
-              a.wait_seconds, 0.0);
-    } catch (...) {
-      a.member->promise.set_exception(std::current_exception());
+  RunStages(jobs);
+  for (GroupMember& m : members) {
+    if (m.job.failure != nullptr) {
+      m.promise.set_exception(m.job.failure);
+    } else {
+      m.promise.set_value(std::move(m.job.response));
     }
   }
 }
-
-// ── Deprecated shims ─────────────────────────────────────────────────────
-// Implemented against the internal paths (not each other) so building this
-// file emits no deprecation warnings.
-
-CompileService::ResultPtr CompileService::Compile(const graph::Dag& dag,
-                                                  int num_stages,
-                                                  std::string_view engine) {
-  CompileRequest params;  // dag-less: CompileOn reads the graph by reference
-  params.num_stages = num_stages;
-  params.engine = EngineRef(engine);
-  return CompileOn(dag, params).result;
-}
-
-CompileService::ResultPtr CompileService::Compile(const graph::Dag& dag,
-                                                  int num_stages,
-                                                  Method method) {
-  CompileRequest params;
-  params.num_stages = num_stages;
-  params.engine = EngineRef(method);
-  return CompileOn(dag, params).result;
-}
-
-CompileService::Ticket CompileService::Submit(graph::Dag dag, int num_stages,
-                                              std::string engine) {
-  CompileRequest request;
-  request.dag = std::move(dag);
-  request.num_stages = num_stages;
-  request.engine = EngineRef(std::move(engine));
-  return SubmitInternal(std::move(request), std::nullopt);
-}
-
-CompileService::Ticket CompileService::Submit(graph::Dag dag, int num_stages,
-                                              Method method) {
-  CompileRequest request;
-  request.dag = std::move(dag);
-  request.num_stages = num_stages;
-  request.engine = EngineRef(method);
-  return SubmitInternal(std::move(request), std::nullopt);
-}
-
-std::vector<CompileService::ResultPtr> CompileService::LegacyCompileBatch(
-    std::span<const graph::Dag* const> dags, int num_stages,
-    const EngineRef& engine) {
-  // Preserves the old batch contract exactly: warm entries answer through
-  // the pointer (no Dag copy at all), only cold graphs are copied into
-  // their async request.
-  std::vector<ResultPtr> results(dags.size());
-  std::vector<std::pair<std::size_t, Ticket>> pending;
-  for (std::size_t i = 0; i < dags.size(); ++i) {
-    RequestKey key = MakeKey(*dags[i], num_stages, engine, /*profile_name=*/"");
-    if (ResultPtr cached = TryCached(key)) {
-      results[i] = std::move(cached);
-      continue;
-    }
-    CompileRequest request;
-    request.dag = *dags[i];
-    request.num_stages = num_stages;
-    request.engine = engine;
-    pending.emplace_back(i,
-                         SubmitInternal(std::move(request), std::move(key)));
-  }
-  std::exception_ptr first_failure;
-  for (const auto& [i, ticket] : pending) {
-    try {
-      results[i] = ticket.Wait();
-    } catch (...) {
-      if (first_failure == nullptr) first_failure = std::current_exception();
-    }
-  }
-  if (first_failure != nullptr) std::rethrow_exception(first_failure);
-  return results;
-}
-
-std::vector<CompileService::ResultPtr> CompileService::CompileBatch(
-    std::span<const graph::Dag* const> dags, int num_stages,
-    std::string_view engine) {
-  return LegacyCompileBatch(dags, num_stages, EngineRef(engine));
-}
-
-std::vector<CompileService::ResultPtr> CompileService::CompileBatch(
-    std::span<const graph::Dag* const> dags, int num_stages, Method method) {
-  return LegacyCompileBatch(dags, num_stages, EngineRef(method));
-}
-
-// ─────────────────────────────────────────────────────────────────────────
 
 void CompileService::ReplaceRl(std::shared_ptr<rl::RlScheduler> rl) {
   // Bump the version first: every key computed from here on addresses the

@@ -42,9 +42,11 @@
 // cache_ttl_seconds bounds the age of both tiers, enforced lazily on
 // probe.
 //
-// The pre-CompileRequest overloads (Compile/Submit/CompileBatch taking
-// dag + stages + engine) survive as [[deprecated]] shims over the new entry
-// points; migrate to CompileRequest.
+// One request pipeline: every entry point (Compile, Submit, CompileBatch,
+// TryServeLocal) runs the same stage functions in the same order — key →
+// memory → flight → disk → peer → solve → publish.  TryServeLocal stops
+// after the disk stage; grouped CompileBatch misses differ only in the
+// solve stage, which gives a lock-step-capable engine one shared attempt.
 //
 // Thread safety: every public method is safe to call concurrently.
 #pragma once
@@ -140,11 +142,13 @@ struct ServiceOptions {
 
   /// Grouped miss solving for CompileBatch(requests): cold kUse requests on
   /// a batch-capable engine (RlEngine's lock-stepped decode) are grouped by
-  /// (engine, num_stages, node count) and each group of >= 2 solves as one
-  /// batched GEMM decode on a single worker — a cold-cache miss storm
-  /// (e.g. right after ReplaceRl) refills at batch throughput instead of
-  /// one GEMV decode per worker.  Disable to fan every miss out as an
-  /// independent async request (the pre-batch behavior).
+  /// (engine, num_stages, node count, profile, per-attempt solve budget)
+  /// and each group of >= 2 runs the request pipeline as one task on a
+  /// single worker, its solve stage a batched GEMM decode — a cold-cache
+  /// miss storm (e.g. right after ReplaceRl) refills at batch throughput
+  /// instead of one GEMV decode per worker.  Disable to fan every miss out
+  /// as an independent async request.  Responses are identical either way
+  /// (see fallback_chain for how a group attempt counts).
   bool batch_decode = true;
 
   /// Fair-queueing weight of tenants absent from tenant_weights (see
@@ -172,6 +176,13 @@ struct ServiceOptions {
   /// fallback: a blown budget surfaces as DeadlineExceeded.  A response
   /// served by a fallback is tagged degraded and cached under the fallback
   /// engine's own key, never the preferred engine's.
+  ///
+  /// A group attempt is one attempt: when a batch_decode group reaches a
+  /// batch-capable candidate with >= 2 owners still unanswered, they share
+  /// ONE solve — one budget token, one breaker Allow/Record, and one
+  /// budget_blown increment if it blows.  If that attempt blows or throws,
+  /// each owner walks the rest of its own chain alone, every attempt under
+  /// a fresh budget — so every member gets the answer Compile would give.
   std::vector<std::string> fallback_chain;
 
   /// Per-engine-attempt solve budget (seconds) for requests that leave
@@ -339,43 +350,14 @@ class CompileService {
   /// Compiles every request of the batch through the shared cache: warm
   /// kUse entries answer in place without a solve, and results come back in
   /// input order.  Cold kUse requests on a batch-capable engine are grouped
-  /// by (engine, num_stages, node count) and every group of >= 2 solves as
-  /// one lock-stepped batched decode on a single worker (see
-  /// ServiceOptions::batch_decode); everything else fans out as ordinary
-  /// async requests on its own priority lane (duplicates collapse via
-  /// single-flight).  The first failure rethrows after every flight
+  /// (see ServiceOptions::batch_decode) and every group of >= 2 runs on a
+  /// single worker with one lock-stepped solve attempt; everything else
+  /// fans out as ordinary async requests on its own priority lane
+  /// (duplicates collapse via single-flight).  Every response equals what
+  /// Compile would return.  The first failure rethrows after every flight
   /// finishes.
   [[nodiscard]] std::vector<CompileResponse> CompileBatch(
       std::span<const CompileRequest> requests);
-
-  // ── Deprecated pre-CompileRequest overloads ────────────────────────────
-  // Thin shims over the request API: engine-spelling pairs collapse into
-  // EngineRef, priority is kNormal, no deadline, CachePolicy::kUse.
-
-  [[deprecated("build a serve::CompileRequest and call Compile(request)")]]
-  [[nodiscard]] ResultPtr Compile(const graph::Dag& dag, int num_stages,
-                                  std::string_view engine);
-  [[deprecated("build a serve::CompileRequest and call Compile(request)")]]
-  [[nodiscard]] ResultPtr Compile(const graph::Dag& dag, int num_stages,
-                                  Method method);
-
-  [[deprecated("build a serve::CompileRequest and call Submit(request)")]]
-  [[nodiscard]] Ticket Submit(graph::Dag dag, int num_stages,
-                              std::string engine);
-  [[deprecated("build a serve::CompileRequest and call Submit(request)")]]
-  [[nodiscard]] Ticket Submit(graph::Dag dag, int num_stages, Method method);
-
-  [[deprecated(
-      "build serve::CompileRequests and call CompileBatch(requests)")]]
-  [[nodiscard]] std::vector<ResultPtr> CompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages,
-      std::string_view engine);
-  [[deprecated(
-      "build serve::CompileRequests and call CompileBatch(requests)")]]
-  [[nodiscard]] std::vector<ResultPtr> CompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages, Method method);
-
-  // ───────────────────────────────────────────────────────────────────────
 
   /// Swaps the RL weight snapshot (null resets to the configured state),
   /// bumps the snapshot version, and drops every RL-dependent cache entry.
@@ -479,7 +461,6 @@ class CompileService {
   struct Flight {
     std::promise<ResultPtr> promise;
     std::shared_future<ResultPtr> future;
-    bool degraded = false;
     std::string_view served_by{};  // canonical engine that actually solved
   };
 
@@ -529,56 +510,105 @@ class CompileService {
     obs::Histogram* histogram_ = nullptr;  // optional registry mirror
   };
 
-  /// Resolves the engine and the named device profile and builds the
-  /// content-addressed key.  An unknown profile name throws
+  /// One request walking the stages: the request (borrowed; it outlives
+  /// the walk), its key, and the response the stages fill in.  `flight` is
+  /// the single-flight slot the job owns (kOwner) or waits on (kJoined);
+  /// `failure`, once set, is what the request ends with.
+  struct Job {
+    const CompileRequest* request = nullptr;
+    RequestKey key;
+    CompileResponse response;
+    std::shared_ptr<Flight> flight;
+    std::exception_ptr failure;
+    /// False once this logical request fed the admission sketch (one
+    /// access per request, whatever the entry point).
+    bool record_access = true;
+    bool grouped = false;  // a CompileBatch group member (batch_single)
+  };
+
+  /// Key stage: resolves the engine and the named device profile and
+  /// builds the content-addressed key.  An unknown profile name throws
   /// std::invalid_argument (same contract as an unknown engine).
   [[nodiscard]] RequestKey MakeKey(const graph::Dag& dag, int num_stages,
                                    const EngineRef& engine,
                                    std::string_view profile_name) const;
+
+  /// A job for `request` with its provenance filled in; a precomputed key
+  /// means the caller's memory probe already recorded the access.
+  [[nodiscard]] Job MakeJob(const CompileRequest& request,
+                            std::optional<RequestKey> key) const;
+
   [[nodiscard]] Shard& ShardFor(const graph::CanonicalHash& hash);
 
-  /// Cache-only probe: returns the resident entry (counted as a hit, LRU
-  /// refreshed) or null without joining flights or solving.
-  [[nodiscard]] ResultPtr TryCached(const RequestKey& key);
+  enum class Probe { kHit, kMiss, kOwner, kJoined };
 
-  /// Deadline pre-check + Execute — the synchronous request path shared by
-  /// Compile(request) and the deprecated sync shims.  `params.dag` is
-  /// ignored; the graph comes in by reference so shims avoid copying it.
-  [[nodiscard]] CompileResponse CompileOn(const graph::Dag& dag,
-                                          const CompileRequest& params);
+  /// Memory stage, plus the flight stage when `join`: under one shard lock,
+  /// answers a resident unexpired entry (kHit, LRU refreshed); otherwise,
+  /// with `join`, waits on the identical in-flight solve (kJoined) or
+  /// claims its flight slot (kOwner).  Without `join` a miss is kMiss.
+  [[nodiscard]] Probe ProbeMemory(Job& job, bool join);
 
-  /// Dispatch on cache policy; fills result/outcome/solve_seconds.
-  [[nodiscard]] CompileResponse Execute(
-      const graph::Dag& dag, const CompileRequest& params,
-      const std::optional<RequestKey>& precomputed);
+  /// Disk stage: answers from the persistent tier (kDiskHit, promoted at
+  /// the spill's remaining lifetime); true when answered.
+  [[nodiscard]] bool ProbeDisk(Job& job);
 
-  /// The CachePolicy::kUse path: cache probe → single-flight join → disk
-  /// probe → cold solve + insert, in that order.  `record_access` feeds the
-  /// admission sketch; it is false when the batch path already recorded
-  /// this logical request in its TryCached probe (one access per request,
-  /// whatever the entry point).  A degraded solve is inserted (and written
-  /// back) under the fallback engine's own key, never the preferred one's.
-  void ExecuteCached(const graph::Dag& dag, const CompileRequest& params,
-                     const RequestKey& key, bool record_access,
-                     CompileResponse& response);
+  /// Peer stage (fleet mode): fetch → verify → import → promote; true when
+  /// answered (kPeerHit).  Any failure falls through to the solve stage.
+  [[nodiscard]] bool TryPeerWarm(Job& job);
 
-  /// Which engine actually solved, and whether that was a fallback.
-  struct SolveOutcome {
-    std::string_view engine_used{};  // canonical; borrowed from the registry
-    bool degraded = false;
+  /// Runs memory → flight → disk → peer → solve → publish for `jobs` (one
+  /// request, or one CompileBatch group sharing engine, stages, profile and
+  /// budget).  Settles every job: a response or `failure`.
+  void RunStages(std::span<Job* const> jobs);
+
+  /// The per-attempt solve budget (seconds, 0 = unlimited) of `request`.
+  [[nodiscard]] double BudgetFor(const CompileRequest& request) const;
+
+  /// RunStages for one request; rethrows its failure.
+  [[nodiscard]] CompileResponse Execute(const CompileRequest& request,
+                                        std::optional<RequestKey> key);
+
+  /// How one engine attempt ended: `skipped` when an open breaker
+  /// short-circuited it (never for the last candidate), else a null
+  /// `error` on success.  `budget` marks a fired budget token.
+  struct AttemptOutcome {
+    bool skipped = false;
+    std::exception_ptr error;
+    bool budget = false;
   };
 
-  /// One cold solve through the engine chain: the preferred engine (unless
-  /// its breaker is open and a fallback exists), then each configured
-  /// fallback, each attempt under a fresh solve budget.  Records latency,
-  /// breaker outcomes, and the budget/fallback counters.  Throws when every
-  /// candidate failed — a chain that died purely on budgets surfaces as
-  /// DeadlineExceeded.
-  [[nodiscard]] ResultPtr SolveCold(const graph::Dag& dag, int num_stages,
-                                    const RequestKey& key,
-                                    const CompileRequest& params,
-                                    double& solve_seconds,
-                                    SolveOutcome& outcome);
+  /// Solve stage: the preferred engine (unless its breaker is open and a
+  /// fallback exists), then each configured fallback.  Owners share one
+  /// attempt while >= 2 remain on a batch-capable candidate (see
+  /// ServiceOptions::fallback_chain); every other attempt is per owner.
+  /// Fills each owner's result/degraded/engine_name/solve_seconds or its
+  /// `failure` — a chain that died purely on budgets is DeadlineExceeded.
+  void SolveCold(std::span<Job* const> owners);
+
+  /// The rest of one owner's chain from candidate `from` on; `first` is
+  /// the failure inherited from a failed group attempt (if any).
+  void WalkChain(Job& job, std::span<const std::string_view> candidates,
+                 std::size_t from, double budget, AttemptOutcome first);
+
+  /// One breaker-gated engine attempt for `jobs` under one fresh budget
+  /// token — a lock-stepped CompileGroup when there are several.  Fills
+  /// the responses on success; a failure is recorded once.
+  [[nodiscard]] AttemptOutcome Attempt(std::span<Job* const> jobs,
+                                       std::string_view engine, bool last,
+                                       double budget);
+
+  /// Fails `job` with DeadlineExceeded when its request deadline passed;
+  /// true when it did.
+  [[nodiscard]] bool FailIfLapsed(Job& job);
+
+  /// Publish stage: caches the job's answer under its own key — or, when a
+  /// fallback engine produced it, under that engine's own key — resolves
+  /// the flight the job owns (with its answer or its failure), and with
+  /// `spill` queues the background writeback.  `expires_at` caps the
+  /// memory entry's lifetime (tier hits promote at their remaining TTL).
+  void Publish(Job& job, bool spill,
+               std::optional<std::chrono::steady_clock::time_point>
+                   expires_at = std::nullopt);
 
   /// The breaker guarding `engine` (created closed on first use).
   [[nodiscard]] CircuitBreaker& BreakerFor(std::string_view engine);
@@ -589,12 +619,18 @@ class CompileService {
   [[nodiscard]] Ticket SubmitInternal(CompileRequest request,
                                       std::optional<RequestKey> key);
 
-  /// One member of a grouped cold-miss solve: index into the caller's
-  /// request span, the precomputed key, and the promise behind the
-  /// member's ticket.
+  /// Worker-side start of a queued request: records its queue wait and
+  /// lane/tenant start, or — when its deadline already passed — counts the
+  /// expiry and returns the DeadlineExceeded to fail it with.
+  [[nodiscard]] std::exception_ptr StartQueued(
+      const CompileRequest& request,
+      std::chrono::steady_clock::time_point enqueue_time, double& wait);
+
+  /// One member of a grouped CompileBatch miss: its job (key precomputed
+  /// by the batch's memory probe) and the promise behind its ticket.
   struct GroupMember {
-    std::size_t index = 0;
-    RequestKey key;
+    std::size_t index = 0;  // into the caller's request span
+    Job job;
     std::promise<CompileResponse> promise;
     std::chrono::steady_clock::time_point enqueue_time{};
   };
@@ -603,22 +639,11 @@ class CompileService {
   /// with a real lock-stepped path (SchedulerEngine::SupportsBatch).
   [[nodiscard]] bool EngineSupportsBatch(std::string_view engine_name) const;
 
-  /// Body of one grouped solve task (runs on a worker): per member, settle
-  /// deadline expiries and late cache hits, acquire or join the
-  /// single-flight slot, disk-probe owners, then solve every surviving
-  /// cold owner through ONE inline PipelineCompiler::CompileGroup call —
-  /// never a nested pool submission, so a full queue cannot deadlock the
-  /// group.  Resolves every member's promise on all paths.
-  void RunBatchGroup(std::span<const CompileRequest> requests, int num_stages,
-                     std::string_view engine_name,
-                     std::vector<GroupMember>& members);
-
-  /// Body of the deprecated batch shims: probes warm entries through the
-  /// caller's pointers (no Dag copy) and copies only cold graphs into
-  /// async requests, as the pre-request batch path did.
-  [[nodiscard]] std::vector<ResultPtr> LegacyCompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages,
-      const EngineRef& engine);
+  /// Body of one grouped CompileBatch task (runs on a worker): per member,
+  /// lane/tenant accounting and the deadline check, then RunStages over
+  /// the survivors — inline, never a nested pool submission, so a full
+  /// queue cannot deadlock the group.  Resolves every member's promise.
+  void RunBatchGroup(std::vector<GroupMember>& members);
 
   /// Inserts (or refreshes) an entry.  `expires_at` caps the entry's
   /// lifetime below the default TTL — set on disk-hit promotion so a
@@ -643,12 +668,6 @@ class CompileService {
 
   /// Snapshot of the installed peer-fetch hook (null when none).
   [[nodiscard]] std::shared_ptr<const PeerFetchFn> PeerFetchSnapshot() const;
-
-  /// Flight-owner peer warm attempt: fetch → verify → import → promote →
-  /// resolve the flight.  True when the response was filled (kPeerHit).
-  [[nodiscard]] bool TryPeerWarm(const RequestKey& key, Shard& shard,
-                                 const std::shared_ptr<Flight>& flight,
-                                 CompileResponse& response);
 
   /// Enqueues a background spill of `result` on the pool (no-op without a
   /// store).  Never blocks on I/O; FlushStore waits for all of these.

@@ -17,12 +17,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <random>
 #include <vector>
 
+#include "core/cancel.h"
 #include "core/respect.h"
+#include "core/thread_pool.h"
 #include "engines/engine.h"
 #include "graph/sampler.h"
 #include "nn/simd.h"
@@ -31,6 +34,7 @@
 #include "rl/ptrnet.h"
 #include "rl/reference_decode.h"
 #include "rl/scheduler.h"
+#include "tpu/device_profile.h"
 
 // ---- Global allocation counter (same funnel as decode_parity_test). ----
 
@@ -186,6 +190,52 @@ TEST(BatchDecodeTest, SteadyStateBatchDecodeIsAllocationFree) {
   EXPECT_EQ(after2 - before2, 0u);
 }
 
+TEST(BatchDecodeTest, CancelledDecodeUnwindsAndLeavesTheWorkspaceReusable) {
+  const rl::PtrNetAgent agent(NetConfig(rl::MaskingMode::kReadySet));
+  std::mt19937_64 rng(211);
+  constexpr int kNodes = 120;
+  const auto dags = SampleSameSizeDags(4, kNodes, 3, rng);
+  const auto ptrs = Pointers(dags);
+  const std::span<const graph::Dag* const> batch(ptrs);
+
+  rl::BatchDecodeWorkspace ws;
+  (void)agent.DecodeGreedyBatch(batch, ws);  // grow every buffer first
+  const auto start = std::chrono::steady_clock::now();
+  (void)agent.DecodeGreedyBatch(batch, ws);
+  const auto full = std::chrono::steady_clock::now() - start;
+
+  // Arm deadlines at 50–90 % of a full decode until one fires part-way
+  // through the lock-stepped decoder loop: the unwound decode had emitted
+  // some, but not all, of its steps.
+  bool cut_mid_decode = false;
+  for (int attempt = 0; attempt < 50 && !cut_mid_decode; ++attempt) {
+    const auto token = core::CancelToken::WithDeadline(
+        std::chrono::steady_clock::now() + full * (5 + attempt % 5) / 10);
+    try {
+      (void)agent.DecodeGreedyBatch(batch, ws, token);
+      continue;  // timing noise: the decode beat its deadline
+    } catch (const core::CancelledError&) {
+    }
+    const std::size_t emitted = ws.sequences[0].size();
+    cut_mid_decode = emitted > 0 && emitted < kNodes;
+  }
+  ASSERT_TRUE(cut_mid_decode) << "no deadline fired mid-decode";
+
+  // The next decode on the interrupted workspace is bit-identical to one on
+  // a fresh workspace.
+  const std::vector<std::vector<graph::NodeId>> reused =
+      agent.DecodeGreedyBatch(batch, ws);
+  rl::BatchDecodeWorkspace fresh;
+  const auto& clean = agent.DecodeGreedyBatch(batch, fresh);
+  for (int g = 0; g < 4; ++g) EXPECT_EQ(reused[g], clean[g]) << "g=" << g;
+
+  // A token that already fired unwinds before the first decode step.
+  const core::CancelToken fired = core::CancelToken::Manual();
+  fired.Cancel();
+  EXPECT_THROW((void)agent.DecodeGreedyBatch(batch, ws, fired),
+               core::CancelledError);
+}
+
 TEST(BatchScheduleTest, ScheduleRawBatchMatchesSequential) {
   const rl::RlScheduler scheduler(NetConfig(rl::MaskingMode::kReadySet));
   std::mt19937_64 rng(171);
@@ -219,9 +269,10 @@ TEST(BatchCompileTest, CompileBatchGroupsBySizeAndMatchesSequential) {
   const auto ptrs = Pointers(dags);
 
   engines::SolveStats stats;
+  core::ThreadPool pool(3);
   const auto batched = compiler.CompileBatch(
-      std::span<const graph::Dag* const>(ptrs), 4, Method::kRespectRl,
-      /*num_threads=*/3, &stats);
+      std::span<const graph::Dag* const>(ptrs), 4, Method::kRespectRl, pool,
+      &stats);
   ASSERT_EQ(batched.size(), dags.size());
   for (std::size_t i = 0; i < dags.size(); ++i) {
     const auto single = compiler.Compile(dags[i], 4, Method::kRespectRl);
@@ -244,7 +295,8 @@ TEST(BatchCompileTest, CompileGroupRunsInlineAndMatchesSequential) {
 
   engines::SolveStats stats;
   const auto grouped = compiler.CompileGroup(
-      std::span<const graph::Dag* const>(ptrs), 4, "respect", &stats);
+      std::span<const graph::Dag* const>(ptrs), 4, "respect",
+      tpu::DefaultProfile(), core::CancelToken(), &stats);
   ASSERT_EQ(grouped.size(), 4u);
   for (int g = 0; g < 4; ++g) {
     const auto single = compiler.Compile(dags[g], 4, Method::kRespectRl);
@@ -262,9 +314,10 @@ TEST(BatchCompileTest, NonBatchEnginesFallBackToSingleSolves) {
   const auto ptrs = Pointers(dags);
 
   engines::SolveStats stats;
+  core::ThreadPool pool(2);
   const auto results = compiler.CompileBatch(
-      std::span<const graph::Dag* const>(ptrs), 4, Method::kHuLevel,
-      /*num_threads=*/2, &stats);
+      std::span<const graph::Dag* const>(ptrs), 4, Method::kHuLevel, pool,
+      &stats);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(stats.batch_solved, 0u);
   EXPECT_EQ(stats.single_solved, 3u);

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <memory>
 #include <random>
@@ -22,6 +23,7 @@
 #include <string>
 #include <system_error>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "core/cancel.h"
@@ -468,6 +470,196 @@ TEST(ChaosServiceTest, LastCandidateIsAttemptedEvenWithAnOpenBreaker) {
   EXPECT_THROW((void)Ask(service, SampleDag(24, 36), 4, "Flaky"),
                std::runtime_error);
   EXPECT_EQ(FlakyEngine::Attempts().load(), after_open + 1);
+}
+
+// ── Path equivalence ─────────────────────────────────────────────────────
+// The same four same-size RESPECT misses must get the same answer whichever
+// entry path carries them: Compile one at a time, CompileBatch with the
+// grouped solve stage (batch_decode), or CompileBatch fanned out as single
+// requests.  Counters may differ — a group attempt is one attempt — but
+// what each caller sees may not.
+
+/// What one caller observes: provenance, outcome, error type, schedule.
+struct Seen {
+  bool degraded = false;
+  std::string engine_name;
+  std::string requested_engine;
+  CacheOutcome outcome = CacheOutcome::kMiss;
+  std::string error;  // exception type, "" when the request succeeded
+  int num_stages = 0;
+  std::vector<int> stages;
+};
+
+Seen See(const CompileResponse& response) {
+  Seen seen{response.degraded, std::string(response.engine_name),
+            std::string(response.requested_engine), response.outcome};
+  if (response.result != nullptr) {
+    seen.num_stages = response.result->schedule.num_stages;
+    seen.stages = response.result->schedule.stage;
+  }
+  return seen;
+}
+
+std::string ErrorType(const std::exception& error) {
+  return typeid(error).name();
+}
+
+enum class EntryPath { kCompile, kBatchGrouped, kBatchFannedOut };
+
+/// Runs `requests` through one entry path on a fresh single-worker service
+/// (`arm`, if set, prepares it first — opens a breaker, installs a hook).
+std::vector<Seen> RunPath(EntryPath path, serve::ServiceOptions svc,
+                          const std::vector<CompileRequest>& requests,
+                          const std::function<void(serve::CompileService&)>&
+                              arm) {
+  svc.num_threads = 1;
+  svc.batch_decode = path == EntryPath::kBatchGrouped;
+  CompilerOptions options = FastOptions();
+  options.net.hidden_dim = 64;  // a decode that reliably outlasts 200 µs
+  serve::CompileService service(options, svc);
+  if (arm) arm(service);
+  std::vector<Seen> seen(requests.size());
+  if (path == EntryPath::kCompile) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      try {
+        seen[i] = See(service.Compile(requests[i]));
+      } catch (const std::exception& e) {
+        seen[i].error = ErrorType(e);
+      }
+    }
+    return seen;
+  }
+  try {
+    const std::vector<CompileResponse> responses =
+        service.CompileBatch(requests);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      seen[i] = See(responses[i]);
+    }
+  } catch (const std::exception& e) {
+    for (Seen& s : seen) s.error = ErrorType(e);  // the batch's one failure
+  }
+  return seen;
+}
+
+/// Four cold 60-node RESPECT requests; `budget` is the per-attempt budget.
+std::vector<CompileRequest> FourRespectMisses(double budget) {
+  std::vector<CompileRequest> requests;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    requests.push_back(CompileRequest{.dag = SampleDag(60, 500 + seed),
+                                      .num_stages = 4,
+                                      .engine = "respect",
+                                      .solve_budget_seconds = budget});
+  }
+  return requests;
+}
+
+/// Asserts every path answers every member exactly as Compile does, and
+/// returns Compile's view for case-specific checks.
+std::vector<Seen> ExpectPathsAgree(
+    const std::string& label, const serve::ServiceOptions& svc,
+    const std::vector<CompileRequest>& requests,
+    const std::function<void(serve::CompileService&)>& arm = {}) {
+  const std::vector<Seen> sync =
+      RunPath(EntryPath::kCompile, svc, requests, arm);
+  for (const EntryPath path :
+       {EntryPath::kBatchGrouped, EntryPath::kBatchFannedOut}) {
+    const std::vector<Seen> batch = RunPath(path, svc, requests, arm);
+    const char* name =
+        path == EntryPath::kBatchGrouped ? "grouped" : "fanned-out";
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const Seen& want = sync[i];
+      const Seen& got = batch[i];
+      EXPECT_EQ(got.degraded, want.degraded) << label << " " << name << " " << i;
+      EXPECT_EQ(got.engine_name, want.engine_name)
+          << label << " " << name << " " << i;
+      EXPECT_EQ(got.requested_engine, want.requested_engine)
+          << label << " " << name << " " << i;
+      EXPECT_EQ(got.outcome, want.outcome) << label << " " << name << " " << i;
+      EXPECT_EQ(got.error, want.error) << label << " " << name << " " << i;
+      EXPECT_EQ(got.num_stages, want.num_stages)
+          << label << " " << name << " " << i;
+      EXPECT_EQ(got.stages, want.stages) << label << " " << name << " " << i;
+    }
+  }
+  return sync;
+}
+
+TEST(PathEquivalenceTest, BlownBudgetDegradesOnEveryPath) {
+  serve::ServiceOptions svc;
+  svc.fallback_chain = {"ListScheduling"};
+  const std::vector<Seen> sync =
+      ExpectPathsAgree("200us budget", svc, FourRespectMisses(200e-6));
+  for (const Seen& s : sync) {
+    EXPECT_TRUE(s.degraded);
+    EXPECT_EQ(s.engine_name, "ListScheduling");
+    EXPECT_EQ(s.requested_engine, "RESPECT");
+  }
+}
+
+TEST(PathEquivalenceTest, BlownBudgetWithoutFallbackFailsTypedOnEveryPath) {
+  const std::vector<Seen> sync = ExpectPathsAgree(
+      "200us budget, no fallback", {}, FourRespectMisses(200e-6));
+  for (const Seen& s : sync) {
+    EXPECT_EQ(s.error, typeid(DeadlineExceeded).name());
+  }
+}
+
+TEST(PathEquivalenceTest, InjectedEngineErrorDegradesOnEveryPath) {
+  serve::ServiceOptions svc;
+  svc.fallback_chain = {"ListScheduling"};
+  const ScopedFailpoint fp("engine.solve.RESPECT", "error");
+  const std::vector<Seen> sync =
+      ExpectPathsAgree("failpoint", svc, FourRespectMisses(0.0));
+  for (const Seen& s : sync) {
+    EXPECT_TRUE(s.degraded);
+    EXPECT_EQ(s.engine_name, "ListScheduling");
+  }
+}
+
+TEST(PathEquivalenceTest, OpenBreakerDegradesOnEveryPath) {
+  serve::ServiceOptions svc;
+  svc.fallback_chain = {"ListScheduling"};
+  svc.breaker_failure_threshold = 1;  // opens on the first failure
+  svc.breaker_open_seconds = 1000.0;
+  const auto open_breaker = [](serve::CompileService& service) {
+    const ScopedFailpoint fp("engine.solve.RESPECT", "error");
+    (void)service.Compile(CompileRequest{
+        .dag = SampleDag(24, 599), .num_stages = 4, .engine = "respect"});
+    ASSERT_EQ(service.Metrics().breakers.at("RESPECT").state, "open");
+  };
+  const std::vector<Seen> sync = ExpectPathsAgree(
+      "open breaker", svc, FourRespectMisses(0.0), open_breaker);
+  for (const Seen& s : sync) {
+    EXPECT_TRUE(s.degraded);
+    EXPECT_EQ(s.engine_name, "ListScheduling");
+  }
+}
+
+TEST(PathEquivalenceTest, PeerEnvelopeAnswersOnEveryPath) {
+  // A donor shard that already solved the requests serves their spill
+  // envelopes to the peer hook.
+  TempDir dir("chaos-path-peer");
+  serve::ServiceOptions donor_options;
+  donor_options.cache_dir = dir.str();
+  CompilerOptions options = FastOptions();
+  options.net.hidden_dim = 64;  // the key covers the options: match RunPath
+  serve::CompileService donor(options, donor_options);
+  const std::vector<CompileRequest> requests = FourRespectMisses(0.0);
+  for (const CompileRequest& request : requests) {
+    (void)donor.Compile(request);
+  }
+  donor.FlushStore();
+  const auto install_peer = [&donor](serve::CompileService& service) {
+    service.SetPeerFetch([&donor](const graph::CanonicalHash& key) {
+      return donor.ExportSpill(key).value_or("");
+    });
+  };
+  const std::vector<Seen> sync =
+      ExpectPathsAgree("peer envelope", {}, requests, install_peer);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(sync[i].outcome, CacheOutcome::kPeerHit) << i;
+    EXPECT_EQ(sync[i].stages, See(donor.Compile(requests[i])).stages) << i;
+  }
 }
 
 // ── Load shedding ────────────────────────────────────────────────────────

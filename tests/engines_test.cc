@@ -334,11 +334,12 @@ TEST(CompileBatchTest, ParallelMatchesSequential) {
   const std::vector<graph::Dag> dags = SampleBatch(10, 7);
   const std::vector<const graph::Dag*> pointers = Pointers(dags);
 
+  core::ThreadPool pool(4);
   for (const Method method :
        {Method::kRespectRl, Method::kExactIlp, Method::kListScheduling,
         Method::kAnnealing, Method::kGreedyBalance}) {
     const std::vector<CompileResult> parallel =
-        compiler.CompileBatch(pointers, 4, method, /*num_threads=*/4);
+        compiler.CompileBatch(pointers, 4, method, pool);
     ASSERT_EQ(parallel.size(), dags.size()) << MethodName(method);
     for (std::size_t i = 0; i < dags.size(); ++i) {
       const CompileResult sequential = compiler.Compile(dags[i], 4, method);
@@ -356,15 +357,18 @@ TEST(CompileBatchTest, RepeatedParallelRunsAreDeterministic) {
   const std::vector<graph::Dag> dags = SampleBatch(8, 13);
   const std::vector<const graph::Dag*> pointers = Pointers(dags);
 
-  const auto first = compiler.CompileBatch(pointers, 4, Method::kAnnealing, 4);
-  const auto second = compiler.CompileBatch(pointers, 4, "anneal", 3);
+  core::ThreadPool four(4);
+  core::ThreadPool three(3);
+  const auto first =
+      compiler.CompileBatch(pointers, 4, Method::kAnnealing, four);
+  const auto second = compiler.CompileBatch(pointers, 4, "anneal", three);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].schedule.stage, second[i].schedule.stage) << i;
   }
 }
 
-TEST(CompileBatchTest, CallerOwnedPoolMatchesPerCallPool) {
+TEST(CompileBatchTest, ReusedPoolMatchesFreshPool) {
   PipelineCompiler compiler(FastOptions());
   const std::vector<graph::Dag> dags = SampleBatch(8, 23);
   const std::vector<const graph::Dag*> pointers = Pointers(dags);
@@ -375,8 +379,9 @@ TEST(CompileBatchTest, CallerOwnedPoolMatchesPerCallPool) {
   // Back-to-back batches on the same pool (the serving-loop shape).
   const auto reused_again =
       compiler.CompileBatch(pointers, 4, "list", pool);
+  core::ThreadPool fresh(4);
   const auto per_call =
-      compiler.CompileBatch(pointers, 4, Method::kListScheduling, 4);
+      compiler.CompileBatch(pointers, 4, Method::kListScheduling, fresh);
   ASSERT_EQ(reused.size(), per_call.size());
   for (std::size_t i = 0; i < reused.size(); ++i) {
     EXPECT_EQ(reused[i].schedule.stage, per_call[i].schedule.stage) << i;
@@ -390,8 +395,9 @@ TEST(CompileBatchTest, WorkerExceptionsReachTheCaller) {
   // 30-node graphs cannot fill 64 stages; the failure must not be swallowed
   // by the pool.
   const std::vector<const graph::Dag*> pointers = Pointers(dags);
+  core::ThreadPool pool(2);
   EXPECT_THROW(
-      (void)compiler.CompileBatch(pointers, 64, Method::kGreedyBalance, 2),
+      (void)compiler.CompileBatch(pointers, 64, Method::kGreedyBalance, pool),
       std::exception);
 }
 

@@ -4,8 +4,7 @@
 // entries, single-flight must collapse N concurrent identical requests into
 // one engine solve, priority lanes must let interactive requests overtake
 // queued batch work, and deadlines must fail fast with DeadlineExceeded
-// before a solve ever runs.  The deprecated pre-request overloads are
-// exercised once at the bottom to prove the shims still serve.
+// before a solve ever runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -596,6 +595,18 @@ TEST(CompileServiceBatchDecodeTest, GroupedMissStormSolvesBatchedAndMatchesSync)
   }
   EXPECT_EQ(service.Metrics().batch_groups, 1u);
 
+  // Provenance on every CompileBatch response — grouped misses, the
+  // collapsed duplicate, warm hits — is exactly what Compile reports.
+  for (const auto* batch : {&responses, &warm}) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const CompileResponse sync = service.Compile(requests[i]);
+      EXPECT_EQ(sync.requested_engine, "RESPECT");
+      EXPECT_EQ((*batch)[i].requested_engine, sync.requested_engine) << i;
+      EXPECT_EQ((*batch)[i].engine_name, sync.engine_name) << i;
+      EXPECT_EQ((*batch)[i].key_hex, sync.key_hex) << i;
+    }
+  }
+
   // The miss storm this path exists for: ReplaceRl cold-starts every RL
   // key, and the refill goes back through one batched group with results
   // identical to the first pass (same configured weights).
@@ -630,6 +641,16 @@ TEST(CompileServiceBatchDecodeTest, StragglersAndDisabledPathFallBackToSingles) 
   EXPECT_EQ(metrics.misses, 3u);
   EXPECT_EQ(metrics.batch_solved, 2u);
   EXPECT_EQ(metrics.batch_groups, 1u);
+
+  // Two identical cold requests form a group whose second member collapses
+  // onto the first: the lone owner solves per graph, a straggler.
+  const std::vector<CompileRequest> twins = {requests[0], requests[0]};
+  serve::CompileService twin_service(FastOptions());
+  const auto twin_responses = twin_service.CompileBatch(twins);
+  EXPECT_EQ(twin_responses[1].outcome, CacheOutcome::kCollapsed);
+  EXPECT_EQ(twin_responses[1].result, twin_responses[0].result);
+  EXPECT_EQ(twin_service.Metrics().batch_single, 1u);
+  EXPECT_EQ(twin_service.Metrics().batch_groups, 0u);
 
   // A non-batch engine never groups, whatever the sizes.
   std::vector<CompileRequest> list_requests;
@@ -937,46 +958,6 @@ TEST(CompileServiceQueueTest, FifoQueueStillFailsLapsedDeadlines) {
   }
   EXPECT_EQ(service.Metrics().deadline_expired, 1u);
 }
-
-// ── Deprecated shim coverage ─────────────────────────────────────────────
-// The six pre-CompileRequest overloads must keep old call sites compiling
-// and serving through the same cache until they are removed.
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(CompileServiceLegacyShimTest, OldOverloadsShareTheRequestApiCache) {
-  serve::ServiceOptions options;
-  options.num_threads = 1;
-  serve::CompileService service(FastOptions(), options);
-  const graph::Dag dag = SampleDag(24, 71);
-
-  const auto by_name = service.Compile(dag, 4, "list");
-  const auto by_method = service.Compile(dag, 4, Method::kListScheduling);
-  EXPECT_EQ(by_name, by_method);  // shims share one cache entry
-
-  // The request API sees the shim-populated entry.
-  EXPECT_EQ(Ask(service, dag, 4, "list").result, by_name);
-
-  auto ticket = service.Submit(dag, 4, std::string("list"));
-  EXPECT_EQ(ticket.Wait(), by_name);
-  auto method_ticket = service.Submit(dag, 4, Method::kListScheduling);
-  EXPECT_EQ(method_ticket.Wait(), by_name);
-
-  const graph::Dag other = SampleDag(24, 73);
-  const std::vector<const graph::Dag*> batch = {&dag, &other, &dag};
-  const auto results = service.CompileBatch(batch, 4, "list");
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0], by_name);
-  EXPECT_EQ(results[2], by_name);
-  const auto method_results =
-      service.CompileBatch(batch, 4, Method::kListScheduling);
-  EXPECT_EQ(method_results[1], results[1]);
-
-  EXPECT_EQ(service.Metrics().misses, 2u);  // dag + other, once each
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace respect
