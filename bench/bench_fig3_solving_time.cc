@@ -41,15 +41,15 @@ int main() {
       const graph::Dag dag = models::BuildModel(name);
 
       auto t0 = std::chrono::steady_clock::now();
-      (void)compiler.Compile(dag, stages, Method::kRespectRl);
+      (void)compiler.Compile(dag, stages, "RESPECT");
       const double rl_s = Seconds(t0);
 
       t0 = std::chrono::steady_clock::now();
-      (void)compiler.Compile(dag, stages, Method::kEdgeTpuCompiler);
+      (void)compiler.Compile(dag, stages, "EdgeTPUCompiler");
       const double comp_s = Seconds(t0);
 
       t0 = std::chrono::steady_clock::now();
-      (void)compiler.Compile(dag, stages, Method::kExactIlp);
+      (void)compiler.Compile(dag, stages, "ExactILP");
       const double exact_s = Seconds(t0);
 
       const double speed_comp = comp_s / rl_s;

@@ -298,7 +298,7 @@ void BM_CompileBatchThroughput(benchmark::State& state) {
   core::ThreadPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        compiler->CompileBatch(pointers, 4, Method::kAnnealing, pool));
+        compiler->CompileBatch(pointers, 4, "Annealing", pool));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(pointers.size()));
@@ -323,7 +323,7 @@ void BM_CompileServiceColdSolve(benchmark::State& state) {
       new serve::CompileService(BatchBenchOptions());
   const serve::CompileRequest request{.dag = BatchDags()[0],
                                       .num_stages = 4,
-                                      .engine = Method::kAnnealing};
+                                      .engine = "Annealing"};
   for (auto _ : state) {
     service->ClearCache();  // negligible against the solve it forces
     benchmark::DoNotOptimize(service->Compile(request));
@@ -337,7 +337,7 @@ void BM_CompileServiceWarmCache(benchmark::State& state) {
       new serve::CompileService(BatchBenchOptions());
   const serve::CompileRequest request{.dag = BatchDags()[0],
                                       .num_stages = 4,
-                                      .engine = Method::kAnnealing};
+                                      .engine = "Annealing"};
   benchmark::DoNotOptimize(service->Compile(request));
   for (auto _ : state) {
     benchmark::DoNotOptimize(service->Compile(request));
@@ -358,7 +358,7 @@ void BM_TraceOverheadDisarmed(benchmark::State& state) {
       new serve::CompileService(BatchBenchOptions());
   const serve::CompileRequest request{.dag = BatchDags()[0],
                                       .num_stages = 4,
-                                      .engine = Method::kAnnealing};
+                                      .engine = "Annealing"};
   obs::Tracer::Global().Stop();  // belt-and-braces: a prior armed run
   benchmark::DoNotOptimize(service->Compile(request));
   for (auto _ : state) {
@@ -373,7 +373,7 @@ void BM_TraceOverheadArmed(benchmark::State& state) {
       new serve::CompileService(BatchBenchOptions());
   const serve::CompileRequest request{.dag = BatchDags()[0],
                                       .num_stages = 4,
-                                      .engine = Method::kAnnealing};
+                                      .engine = "Annealing"};
   obs::Tracer::Global().Start();
   benchmark::DoNotOptimize(service->Compile(request));
   std::int64_t since_drain = 0;
@@ -410,7 +410,7 @@ void BM_CompileServiceDiskWarmStart(benchmark::State& state) {
   }();
   const serve::CompileRequest request{.dag = BatchDags()[0],
                                       .num_stages = 4,
-                                      .engine = Method::kAnnealing};
+                                      .engine = "Annealing"};
   benchmark::DoNotOptimize(service->Compile(request));  // populate
   service->FlushStore();                                // spill landed
   for (auto _ : state) {
@@ -449,7 +449,7 @@ void BM_FleetWarmFetch(benchmark::State& state) {
           client(server.Address()) {
       const serve::CompileRequest request{.dag = BatchDags()[0],
                                           .num_stages = 4,
-                                          .engine = Method::kAnnealing};
+                                          .engine = "Annealing"};
       benchmark::DoNotOptimize(service.Compile(request));
       service.FlushStore();  // the spill the fetches serve
       key = service.KeyFor(request);
@@ -490,7 +490,7 @@ void BM_DegradedFallbackLatency(benchmark::State& state) {
   const serve::CompileRequest request{
       .dag = BatchDags()[0],
       .num_stages = 4,
-      .engine = Method::kAnnealing,
+      .engine = "Annealing",
       .cache_policy = serve::CachePolicy::kBypass};
   for (auto _ : state) {
     benchmark::DoNotOptimize(service->Compile(request));
@@ -505,7 +505,7 @@ std::vector<serve::CompileRequest> BatchRequests(serve::Priority priority,
   for (const graph::Dag& dag : BatchDags()) {
     requests.push_back(serve::CompileRequest{.dag = dag,
                                              .num_stages = 4,
-                                             .engine = Method::kAnnealing,
+                                             .engine = "Annealing",
                                              .priority = priority,
                                              .cache_policy = policy});
   }
@@ -548,7 +548,7 @@ void MissStormRefill(benchmark::State& state, bool batch_decode) {
   std::vector<serve::CompileRequest> storm;
   for (const graph::Dag& dag : BatchDags()) {
     storm.push_back(serve::CompileRequest{
-        .dag = dag, .num_stages = 4, .engine = Method::kRespectRl});
+        .dag = dag, .num_stages = 4, .engine = "RESPECT"});
   }
   bool flip = false;
   for (auto _ : state) {
@@ -587,7 +587,7 @@ void MixedPriorityLoad(benchmark::State& state, bool fifo_queue) {
   const serve::CompileRequest interactive{
       .dag = BatchDags()[0],
       .num_stages = 4,
-      .engine = Method::kAnnealing,
+      .engine = "Annealing",
       .priority = serve::Priority::kInteractive,
       .cache_policy = serve::CachePolicy::kBypass};
   for (auto _ : state) {
@@ -653,7 +653,7 @@ void BM_TenantFairness(benchmark::State& state) {
                     .dag = BatchDags()[(t * kPerTenant + r) %
                                        BatchDags().size()],
                     .num_stages = 4,
-                    .engine = Method::kAnnealing,
+                    .engine = "Annealing",
                     .priority = serve::Priority::kNormal,
                     .cache_policy = serve::CachePolicy::kBypass,
                     .tenant = tenants[t].first})});
@@ -698,11 +698,12 @@ BENCHMARK(BM_TenantFairness)
 /// packaging, the Fig. 3 quantity) per registered engine on a 30-node
 /// training graph — registered dynamically so new engines show up here
 /// without editing this file.
-void EngineSolve(benchmark::State& state, const std::string& engine_name) {
+void EngineSolve(benchmark::State& state,
+                 const engines::EngineRegistration& registration) {
   static const PipelineCompiler* compiler =
       new PipelineCompiler(BatchBenchOptions());
-  const auto engine = engines::EngineRegistry::Global().Create(
-      engine_name, compiler->MakeEngineContext());
+  const auto engine = engines::EngineRegistry::Create(
+      registration, compiler->MakeEngineContext());
   std::mt19937_64 rng(8);
   const graph::Dag dag = graph::SampleTrainingDag(30, rng);
   sched::PipelineConstraints constraints;
@@ -720,8 +721,8 @@ void RegisterEngineSolveBenchmarks() {
        engines::EngineRegistry::Global().Registrations()) {
     benchmark::RegisterBenchmark(
         ("BM_EngineSolve/" + registration.name).c_str(),
-        [name = registration.name](benchmark::State& state) {
-          EngineSolve(state, name);
+        [&registration](benchmark::State& state) {
+          EngineSolve(state, registration);
         });
   }
 }

@@ -73,9 +73,9 @@ engines::EngineContext PipelineCompiler::MakeEngineContext() const {
 }
 
 CompileResult PipelineCompiler::Compile(
-    const graph::Dag& dag, int num_stages, const engines::EngineRef& engine,
+    const graph::Dag& dag, int num_stages, std::string_view engine,
     const tpu::DeviceProfile& profile, const core::CancelToken& cancel) const {
-  return CompileWith(*CreateEngine(engine), dag,
+  return CompileWith(CreateEngine(engine), dag,
                      ConstraintsFor(num_stages, profile), cancel);
 }
 
@@ -113,45 +113,46 @@ CompileResult PipelineCompiler::FinishCompile(
 }
 
 CompileResult PipelineCompiler::CompileWith(
-    const engines::SchedulerEngine& engine, const graph::Dag& dag,
+    const BoundEngine& engine, const graph::Dag& dag,
     const sched::PipelineConstraints& constraints,
     const core::CancelToken& cancel) const {
   dag.Validate();
   // Chaos tooling can stall or fail one engine ("engine.solve.RESPECT") or
   // every solve ("engine.solve").
-  RESPECT_FAILPOINT_TAGGED("engine.solve", engine.Name());
+  RESPECT_FAILPOINT_TAGGED("engine.solve", engine.registration.name);
   engines::EngineBudget budget = MakeBudget();
   budget.cancel = cancel;
-  return FinishCompile(engine.Schedule(dag, constraints, budget), dag,
+  return FinishCompile(engine.engine->Schedule(dag, constraints, budget), dag,
                        constraints);
 }
 
-std::unique_ptr<engines::SchedulerEngine> PipelineCompiler::CreateEngine(
-    const engines::EngineRef& engine) const {
-  const engines::EngineRegistry& registry = engines::EngineRegistry::Global();
-  return registry.Create(registry.Resolve(engine).name, MakeEngineContext());
+PipelineCompiler::BoundEngine PipelineCompiler::CreateEngine(
+    std::string_view engine) const {
+  const engines::EngineRegistration& registration =
+      engines::EngineRegistry::Global().Resolve(engine);
+  return {registration,
+          engines::EngineRegistry::Create(registration, MakeEngineContext())};
 }
 
 std::vector<CompileResult> PipelineCompiler::CompileGroup(
     std::span<const graph::Dag* const> dags, int num_stages,
-    const engines::EngineRef& engine, const tpu::DeviceProfile& profile,
+    std::string_view engine, const tpu::DeviceProfile& profile,
     const core::CancelToken& cancel, engines::SolveStats* stats) const {
-  return CompileGroupWith(*CreateEngine(engine), dags,
+  return CompileGroupWith(CreateEngine(engine), dags,
                           ConstraintsFor(num_stages, profile), cancel, stats);
 }
 
 std::vector<CompileResult> PipelineCompiler::CompileGroupWith(
-    const engines::SchedulerEngine& engine,
-    std::span<const graph::Dag* const> dags,
+    const BoundEngine& engine, std::span<const graph::Dag* const> dags,
     const sched::PipelineConstraints& constraints,
     const core::CancelToken& cancel, engines::SolveStats* stats) const {
   for (const graph::Dag* dag : dags) dag->Validate();
   // One group, one pass through the same chaos site CompileWith evaluates.
-  RESPECT_FAILPOINT_TAGGED("engine.solve", engine.Name());
+  RESPECT_FAILPOINT_TAGGED("engine.solve", engine.registration.name);
   engines::EngineBudget budget = MakeBudget();
   budget.cancel = cancel;
   std::vector<engines::EngineResult> engine_results =
-      engine.ScheduleBatch(dags, constraints, budget, stats);
+      engine.engine->ScheduleBatch(dags, constraints, budget, stats);
   std::vector<CompileResult> results;
   results.reserve(dags.size());
   for (std::size_t i = 0; i < dags.size(); ++i) {
@@ -163,14 +164,13 @@ std::vector<CompileResult> PipelineCompiler::CompileGroupWith(
 
 std::vector<CompileResult> PipelineCompiler::CompileBatch(
     std::span<const graph::Dag* const> dags, int num_stages,
-    const engines::EngineRef& engine_ref, core::ThreadPool& pool,
+    std::string_view engine_name, core::ThreadPool& pool,
     engines::SolveStats* stats) const {
-  const auto engine_ptr = CreateEngine(engine_ref);
-  const engines::SchedulerEngine& engine = *engine_ptr;
+  const BoundEngine engine = CreateEngine(engine_name);
   const sched::PipelineConstraints constraints =
       ConstraintsFor(num_stages, tpu::DefaultProfile());
   std::vector<CompileResult> results(dags.size());
-  if (!engine.SupportsBatch() || dags.size() < 2) {
+  if (!engine.registration.supports_batch || dags.size() < 2) {
     core::ParallelFor(pool, dags.size(), [&](std::size_t i) {
       results[i] = CompileWith(engine, *dags[i], constraints);
     });

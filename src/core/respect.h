@@ -1,14 +1,14 @@
 // RESPECT public API — the one-stop façade a downstream user consumes.
 //
 //   respect::PipelineCompiler compiler(options);
-//   auto result = compiler.Compile(dag, /*num_stages=*/4,
-//                                  respect::Method::kRespectRl);
+//   auto result = compiler.Compile(dag, /*num_stages=*/4, "RESPECT");
 //   auto sim = respect::tpu::SimulatePipeline(result.package);
 //
-// Compile() resolves the chosen engine through the SchedulerEngine registry
-// (engines/registry.h — the RL agent, the exact ILP route, the Edge TPU
-// compiler substitute, the classic heuristics, or anything registered at
-// runtime), validates/repairs the schedule, and packages it for deployment
+// Compile() resolves the chosen engine — by canonical name or CLI alias —
+// through the SchedulerEngine registry (engines/registry.h — the RL agent,
+// the exact ILP route, the Edge TPU compiler substitute, the classic
+// heuristics, or anything registered at runtime), validates/repairs the
+// schedule, and packages it for deployment
 // (quantization + segment extraction).  Compile() is const and engines are
 // stateless, so one compiler may serve many threads; CompileBatch runs a
 // whole batch of graphs across a thread pool with results identical to the
@@ -26,7 +26,6 @@
 
 #include "core/cancel.h"
 #include "deploy/package.h"
-#include "engines/method.h"
 #include "engines/registry.h"
 #include "graph/dag.h"
 #include "heuristics/edgetpu_compiler.h"
@@ -87,18 +86,17 @@ class PipelineCompiler {
   PipelineCompiler(const PipelineCompiler&) = delete;
   PipelineCompiler& operator=(const PipelineCompiler&) = delete;
 
-  /// Compiles with any registered engine — canonical name, CLI alias or
-  /// Method value, including engines registered at runtime that have no
-  /// Method value — targeting `profile`: the engine receives the profile
-  /// through sched::PipelineConstraints, and for non-default profiles the
-  /// repaired schedule additionally runs the deterministic device-aware
-  /// rebalance (sched::RebalanceForProfile) before packaging.  `cancel`
-  /// carries a cooperative cancellation token into the engine's inner
-  /// loops (the serving layer's per-request solve budget): a fired token
-  /// unwinds with core::CancelledError — no partial schedule is ever
-  /// returned.  Unknown or empty engines throw std::invalid_argument.
+  /// Compiles with any registered engine — canonical name or CLI alias,
+  /// including engines registered at runtime — targeting `profile`: the engine
+  /// receives the profile through sched::PipelineConstraints, and for
+  /// non-default profiles the repaired schedule additionally runs the
+  /// deterministic device-aware rebalance (sched::RebalanceForProfile) before
+  /// packaging.  `cancel` carries a cooperative cancellation token into the
+  /// engine's inner loops (the serving layer's per-request solve budget): a
+  /// fired token unwinds with core::CancelledError — no partial schedule is
+  /// ever returned.  Unknown or empty engines throw std::invalid_argument.
   [[nodiscard]] CompileResult Compile(
-      const graph::Dag& dag, int num_stages, const engines::EngineRef& engine,
+      const graph::Dag& dag, int num_stages, std::string_view engine,
       const tpu::DeviceProfile& profile = tpu::DefaultProfile(),
       const core::CancelToken& cancel = {}) const;
 
@@ -110,31 +108,32 @@ class PipelineCompiler {
   /// a solve short (ExactILP with exact_time_limit_seconds > 0): CPU
   /// contention changes how far such a solve gets, so its incumbent may
   /// differ between runs.  Expansion caps are deterministic; use those when
-  /// bit-identical batches matter.  When the chosen engine supports batched
-  /// solving (RlEngine's lock-stepped decode), CompileBatch additionally
-  /// groups the graphs by node count and routes every same-size group of
-  /// >= 2 through the batch path, so the per-step recurrences run as GEMMs
-  /// across the group; stragglers keep the per-graph path.  `stats`
-  /// (optional, may be null) accumulates the batch/single split.
+  /// bit-identical batches matter.  When the chosen engine is registered
+  /// with supports_batch (RlEngine's lock-stepped decode), CompileBatch
+  /// additionally groups the graphs by node count and routes every
+  /// same-size group of >= 2 through the batch path, so the per-step
+  /// recurrences run as GEMMs across the group; stragglers keep the
+  /// per-graph path.  `stats` (optional, may be null) accumulates the
+  /// batch/single split.
   [[nodiscard]] std::vector<CompileResult> CompileBatch(
       std::span<const graph::Dag* const> dags, int num_stages,
-      const engines::EngineRef& engine, core::ThreadPool& pool,
+      std::string_view engine, core::ThreadPool& pool,
       engines::SolveStats* stats = nullptr) const;
 
   /// Compiles a group of graphs INLINE on the calling thread through the
   /// engine's ScheduleBatch — same-node-count groups of >= 2 take the
-  /// lock-stepped batch decode when the engine supports it.  This is the
-  /// entry point for callers that already run on a worker thread (the
-  /// serving layer's grouped solve attempt must not nest pool submissions);
-  /// results are element-wise identical to per-graph Compile() calls on
-  /// the scalar path.  Every graph targets `profile`.  Like Compile(), the
-  /// group passes the "engine.solve" failpoint once and carries `cancel`
-  /// into the engine: a fired token unwinds the whole group with
-  /// core::CancelledError.  `stats` (optional) accumulates the
-  /// batch/single split.
+  /// lock-stepped batch decode when the engine is registered with
+  /// supports_batch.  This is the entry point for callers that already run
+  /// on a worker thread (the serving layer's grouped solve attempt must not
+  /// nest pool submissions); results are element-wise identical to
+  /// per-graph Compile() calls on the scalar path.  Every graph targets
+  /// `profile`.  Like Compile(), the group passes the "engine.solve"
+  /// failpoint once and carries `cancel` into the engine: a fired token
+  /// unwinds the whole group with core::CancelledError.  `stats`
+  /// (optional) accumulates the batch/single split.
   [[nodiscard]] std::vector<CompileResult> CompileGroup(
       std::span<const graph::Dag* const> dags, int num_stages,
-      const engines::EngineRef& engine, const tpu::DeviceProfile& profile,
+      std::string_view engine, const tpu::DeviceProfile& profile,
       const core::CancelToken& cancel,
       engines::SolveStats* stats = nullptr) const;
 
@@ -173,11 +172,17 @@ class PipelineCompiler {
 
   [[nodiscard]] engines::EngineBudget MakeBudget() const;
 
-  /// Instantiates whatever engine `engine` spells, bound to this
-  /// compiler's context (unknown or empty refs throw
+  /// An engine instance and the registration it was created from (whose
+  /// name tags the "engine.solve" failpoint).
+  struct BoundEngine {
+    const engines::EngineRegistration& registration;
+    std::unique_ptr<engines::SchedulerEngine> engine;
+  };
+
+  /// Resolves `engine` (canonical name or alias) once and instantiates it,
+  /// bound to this compiler's context (unknown or empty names throw
   /// std::invalid_argument).
-  [[nodiscard]] std::unique_ptr<engines::SchedulerEngine> CreateEngine(
-      const engines::EngineRef& engine) const;
+  [[nodiscard]] BoundEngine CreateEngine(std::string_view engine) const;
 
   /// Post-solve half of a compile: repair, packaging, peak-bytes — shared
   /// by the single, batch, and group paths so every route finishes a solve
@@ -189,16 +194,13 @@ class PipelineCompiler {
   /// Validate, failpoint, ScheduleBatch, finish — one group on one engine
   /// instance (CompileGroup and CompileBatch's batch chunks).
   [[nodiscard]] std::vector<CompileResult> CompileGroupWith(
-      const engines::SchedulerEngine& engine,
-      std::span<const graph::Dag* const> dags,
+      const BoundEngine& engine, std::span<const graph::Dag* const> dags,
       const sched::PipelineConstraints& constraints,
       const core::CancelToken& cancel, engines::SolveStats* stats) const;
-  [[nodiscard]] CompileResult CompileWith(const engines::SchedulerEngine& engine,
-                                          const graph::Dag& dag,
-                                          const sched::PipelineConstraints&
-                                              constraints,
-                                          const core::CancelToken& cancel =
-                                              {}) const;
+  [[nodiscard]] CompileResult CompileWith(
+      const BoundEngine& engine, const graph::Dag& dag,
+      const sched::PipelineConstraints& constraints,
+      const core::CancelToken& cancel = {}) const;
 
   /// The current RL scheduler, behind a heap-allocated slot so the compiler
   /// stays movable: ReplaceRl swaps the inner pointer under the slot mutex

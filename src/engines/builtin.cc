@@ -23,33 +23,32 @@ void RegisterBuiltinEngines(EngineRegistry& registry) {
   registry.Register(
       {"RESPECT", "respect",
        "RL pointer-network scheduler (the paper's contribution)",
-       Method::kRespectRl,
        [](const EngineContext& context) {
          return std::make_unique<RlEngine>(context.rl);
        },
-       /*uses_rl=*/true});
+       /*uses_rl=*/true, /*supports_batch=*/true});
   registry.Register({"ExactILP", "exact",
                      "exact ILP / branch-and-bound route (CPLEX role)",
-                     Method::kExactIlp, Stateless<IlpEngine>});
+                     Stateless<IlpEngine>});
   registry.Register(
       {"EdgeTPUCompiler", "compiler",
        "Edge TPU compiler substitute (profile-and-rebalance baseline)",
-       Method::kEdgeTpuCompiler, [](const EngineContext& context) {
+       [](const EngineContext& context) {
          return std::make_unique<EdgeTpuCompilerEngine>(context.compiler);
        }});
   registry.Register({"ListScheduling", "list",
-                     "memory-balancing list scheduler", Method::kListScheduling,
+                     "memory-balancing list scheduler",
                      Stateless<ListSchedulingEngine>});
   registry.Register({"HuLevel", "hu", "Hu's level-based scheduling",
-                     Method::kHuLevel, Stateless<HuLevelEngine>});
+                     Stateless<HuLevelEngine>});
   registry.Register({"ForceDirected", "fds", "force-directed scheduling",
-                     Method::kForceDirected, Stateless<ForceDirectedEngine>});
+                     Stateless<ForceDirectedEngine>});
   registry.Register({"Annealing", "anneal", "simulated annealing",
-                     Method::kAnnealing, Stateless<AnnealingEngine>});
+                     Stateless<AnnealingEngine>});
   registry.Register(
       {"GreedyBalance", "greedy",
        "balanced contiguous partition of the default topological order",
-       Method::kGreedyBalance, Stateless<GreedyBalanceEngine>});
+       Stateless<GreedyBalanceEngine>});
 }
 
 }  // namespace respect::engines

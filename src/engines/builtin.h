@@ -5,8 +5,10 @@ namespace respect::engines {
 
 class EngineRegistry;
 
-/// Registers the built-in engines (one per Method enum value).  Called once
-/// by EngineRegistry::Global(); call it yourself only on a private registry.
+/// Registers the eight built-in engines — the paper's RESPECT agent, the
+/// exact ILP, the Edge TPU compiler substitute and five classic heuristics —
+/// each under its canonical name and CLI alias.  Called once by
+/// EngineRegistry::Global(); call it yourself only on a private registry.
 void RegisterBuiltinEngines(EngineRegistry& registry);
 
 }  // namespace respect::engines

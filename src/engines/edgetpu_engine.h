@@ -12,10 +12,6 @@ class EdgeTpuCompilerEngine : public SchedulerEngine {
   explicit EdgeTpuCompilerEngine(const heuristics::EdgeTpuCompilerConfig& config)
       : config_(config) {}
 
-  [[nodiscard]] std::string_view Name() const override {
-    return "EdgeTPUCompiler";
-  }
-
   [[nodiscard]] EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const EngineBudget& budget) const override;

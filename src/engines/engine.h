@@ -1,5 +1,8 @@
 // The SchedulerEngine interface — one interchangeable scheduling backend.
 //
+// An engine is only a solver: its name, alias and capabilities live in the
+// EngineRegistration it is created from (engines/registry.h).
+//
 // Every engine is a stateless adapter: Schedule() is const, takes the graph,
 // the pipeline constraints and a per-call budget, and returns a schedule plus
 // the engine-only solve time.  Statelessness is what makes the batch
@@ -16,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -116,26 +118,19 @@ class SchedulerEngine {
  public:
   virtual ~SchedulerEngine() = default;
 
-  /// Canonical engine name; matches the registry entry it was created from.
-  [[nodiscard]] virtual std::string_view Name() const = 0;
-
   /// Schedules `dag` onto `constraints.num_stages` pipeline stages.  Must be
   /// deterministic for fixed inputs and safe to call concurrently.
   [[nodiscard]] virtual EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const EngineBudget& budget) const = 0;
 
-  /// True when ScheduleBatch can amortize work across same-node-count
-  /// graphs (overridden by RlEngine's lock-stepped batch decode).  Callers
-  /// use this to decide whether size-grouping a batch is worth it.
-  [[nodiscard]] virtual bool SupportsBatch() const { return false; }
-
   /// Schedules every graph in `dags` under the same constraints and budget,
   /// returning results index-aligned with the input.  The default just
-  /// loops over Schedule(); engines with SupportsBatch() group same-sized
-  /// graphs into lock-stepped solves.  Deterministic and identical, graph
-  /// for graph, to per-graph Schedule() calls on the scalar path.  `stats`
-  /// (optional) accumulates how the work was split.
+  /// loops over Schedule(); engines registered with `supports_batch`
+  /// (EngineRegistration) group same-sized graphs into lock-stepped solves.
+  /// Deterministic and identical, graph for graph, to per-graph Schedule()
+  /// calls on the scalar path.  `stats` (optional) accumulates how the work
+  /// was split.
   [[nodiscard]] virtual std::vector<EngineResult> ScheduleBatch(
       std::span<const graph::Dag* const> dags,
       const sched::PipelineConstraints& constraints,

@@ -10,9 +10,6 @@ namespace respect::engines {
 
 class ListSchedulingEngine : public SchedulerEngine {
  public:
-  [[nodiscard]] std::string_view Name() const override {
-    return "ListScheduling";
-  }
   [[nodiscard]] EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const EngineBudget& budget) const override;
@@ -20,7 +17,6 @@ class ListSchedulingEngine : public SchedulerEngine {
 
 class HuLevelEngine : public SchedulerEngine {
  public:
-  [[nodiscard]] std::string_view Name() const override { return "HuLevel"; }
   [[nodiscard]] EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const EngineBudget& budget) const override;
@@ -28,9 +24,6 @@ class HuLevelEngine : public SchedulerEngine {
 
 class ForceDirectedEngine : public SchedulerEngine {
  public:
-  [[nodiscard]] std::string_view Name() const override {
-    return "ForceDirected";
-  }
   [[nodiscard]] EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const EngineBudget& budget) const override;
@@ -38,7 +31,6 @@ class ForceDirectedEngine : public SchedulerEngine {
 
 class AnnealingEngine : public SchedulerEngine {
  public:
-  [[nodiscard]] std::string_view Name() const override { return "Annealing"; }
   [[nodiscard]] EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const EngineBudget& budget) const override;
@@ -46,9 +38,6 @@ class AnnealingEngine : public SchedulerEngine {
 
 class GreedyBalanceEngine : public SchedulerEngine {
  public:
-  [[nodiscard]] std::string_view Name() const override {
-    return "GreedyBalance";
-  }
   [[nodiscard]] EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const EngineBudget& budget) const override;

@@ -9,8 +9,6 @@ namespace respect::engines {
 
 class IlpEngine : public SchedulerEngine {
  public:
-  [[nodiscard]] std::string_view Name() const override { return "ExactILP"; }
-
   [[nodiscard]] EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const EngineBudget& budget) const override;

@@ -1,12 +1,11 @@
-// Engine registry — the single source of truth mapping engine names, CLI
-// aliases and Method enum values to factories.
+// Engine registry — the single description of every scheduling engine: its
+// canonical name, its CLI alias, its capabilities and its factory.
 //
 // Built-in engines are registered the first time Global() is called; user
 // code may register additional engines at startup:
 //
 //   engines::EngineRegistry::Global().Register({
 //       .name = "MyEngine", .alias = "mine", .description = "...",
-//       .method = std::nullopt,
 //       .factory = [](const engines::EngineContext&) { ... }});
 //   auto result = compiler.Compile(dag, 4, "MyEngine");
 //
@@ -18,29 +17,24 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "engines/engine.h"
-#include "engines/engine_ref.h"
-#include "engines/method.h"
 
 namespace respect::engines {
 
 using EngineFactory =
     std::function<std::unique_ptr<SchedulerEngine>(const EngineContext&)>;
 
-/// One registry entry.  `name` is the canonical spelling (what MethodName
-/// returns); `alias` is the short CLI spelling.  `method` is set for the
-/// built-in engines addressable through the Method enum and empty for
-/// engines registered at runtime.
+/// One registry entry.  `name` is the canonical spelling (what responses,
+/// cache keys, breakers and failpoint tags use); `alias` is the short CLI
+/// spelling.  Either one selects the engine.
 struct EngineRegistration {
   std::string name;
   std::string alias;
   std::string description;
-  std::optional<Method> method;
   EngineFactory factory;
 
   /// True when the engine reads EngineContext::rl — i.e. its output depends
@@ -48,6 +42,11 @@ struct EngineRegistration {
   /// cache on the snapshot version for exactly these engines, so ReplaceRl
   /// invalidates their cached results while deterministic engines stay warm.
   bool uses_rl = false;
+
+  /// True when the engine's ScheduleBatch lock-steps same-node-count graphs
+  /// (RlEngine's batched decode).  Callers size-group a batch, and the
+  /// serving layer groups cold misses, only for these engines.
+  bool supports_batch = false;
 };
 
 class EngineRegistry {
@@ -62,25 +61,21 @@ class EngineRegistry {
 
   [[nodiscard]] bool Contains(std::string_view name_or_alias) const;
 
-  /// Finds by canonical name or alias (exact match); null when absent.
+  /// Finds by canonical name or alias (exact match); null when absent.  The
+  /// entry stays valid for the process lifetime (entries are never
+  /// relocated or removed).
   [[nodiscard]] const EngineRegistration* Find(
       std::string_view name_or_alias) const;
-  [[nodiscard]] const EngineRegistration* Find(Method method) const;
 
-  /// Looks up whatever an EngineRef spells — canonical name, alias, or
-  /// Method value — and throws std::invalid_argument (naming the caller's
-  /// spelling) when the ref is empty or unknown.  Deliberately not a Find
-  /// overload: EngineRef converts implicitly from strings, which would make
-  /// Find(std::string) ambiguous.  The returned reference stays valid for
-  /// the process lifetime (entries are never relocated or removed).
-  [[nodiscard]] const EngineRegistration& Resolve(const EngineRef& ref) const;
+  /// Find that throws std::invalid_argument (naming the caller's spelling)
+  /// when the name is empty or unknown.
+  [[nodiscard]] const EngineRegistration& Resolve(
+      std::string_view name_or_alias) const;
 
-  /// Instantiates an engine.  Throws std::invalid_argument on unknown
-  /// name/method.
-  [[nodiscard]] std::unique_ptr<SchedulerEngine> Create(
-      std::string_view name_or_alias, const EngineContext& context) const;
-  [[nodiscard]] std::unique_ptr<SchedulerEngine> Create(
-      Method method, const EngineContext& context) const;
+  /// Instantiates the engine `registration` describes.  Throws
+  /// std::runtime_error when its factory returns null.
+  [[nodiscard]] static std::unique_ptr<SchedulerEngine> Create(
+      const EngineRegistration& registration, const EngineContext& context);
 
   /// All entries, in registration order (built-ins first).
   [[nodiscard]] const std::deque<EngineRegistration>& Registrations() const {
@@ -92,21 +87,9 @@ class EngineRegistry {
 
  private:
   // Deque, not vector: Register() must never relocate existing entries, so
-  // pointers from Find() and string_views from MethodName() stay valid
-  // across later registrations.
+  // pointers from Find() and views of their names stay valid across later
+  // registrations.
   std::deque<EngineRegistration> registrations_;
 };
 
 }  // namespace respect::engines
-
-namespace respect {
-
-/// Canonical name of a built-in method, resolved through the registry.
-[[nodiscard]] std::string_view MethodName(Method method);
-
-/// Inverse lookup accepting either the canonical name or the CLI alias;
-/// empty for unknown strings and for runtime-registered engines that have no
-/// enum value.
-[[nodiscard]] std::optional<Method> MethodFromName(std::string_view name);
-
-}  // namespace respect

@@ -15,13 +15,9 @@ class RlEngine : public SchedulerEngine {
   /// A null `rl` builds a fresh default-configured (untrained) agent.
   explicit RlEngine(std::shared_ptr<const rl::RlScheduler> rl);
 
-  [[nodiscard]] std::string_view Name() const override { return "RESPECT"; }
-
   [[nodiscard]] EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const EngineBudget& budget) const override;
-
-  [[nodiscard]] bool SupportsBatch() const override { return true; }
 
   /// Groups `dags` by node count (lock-stepped decodes need equal lengths),
   /// routes every group of >= 2 through the batched decode path — chunked

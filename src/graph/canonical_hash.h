@@ -71,6 +71,8 @@ class CanonicalHasher {
 };
 
 /// Digest of the graph's canonical serialized form (see file comment).
+/// Throws std::invalid_argument for a DAG WriteDag refuses (a name holding
+/// a newline), so two DAGs it accepts never share a serialized form.
 [[nodiscard]] CanonicalHash HashDag(const Dag& dag);
 
 }  // namespace respect::graph

@@ -29,6 +29,19 @@ const std::unordered_map<std::string, OpType>& TypeByName() {
 }  // namespace
 
 void WriteDag(const Dag& dag, std::ostream& os) {
+  // Names run to the end of their line, so a newline inside one would forge
+  // a record — and HashDag, which hashes this stream, would give two
+  // different DAGs one key.  Reject before writing a byte.
+  const auto check_name = [](const std::string& name, const char* what) {
+    if (name.find('\n') != std::string::npos) {
+      throw std::invalid_argument(std::string("WriteDag: ") + what +
+                                  " contains a newline: '" + name + "'");
+    }
+  };
+  check_name(dag.Name(), "DAG name");
+  for (NodeId v = 0; v < dag.NodeCount(); ++v) {
+    check_name(dag.Attr(v).name, "node name");
+  }
   os << "respect-dag " << kFormatVersion << "\n";
   os << "name " << dag.Name() << "\n";
   for (NodeId v = 0; v < dag.NodeCount(); ++v) {

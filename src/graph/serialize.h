@@ -8,7 +8,8 @@
 //   node <id> <type> <param_bytes> <output_bytes> <macs> <op name...>
 //   edge <from> <to>
 //
-// Round-trips exactly (names may contain spaces; they end the line).
+// Round-trips exactly (names may contain spaces; they end the line, so a
+// name may not contain a newline).
 #pragma once
 
 #include <iosfwd>
@@ -18,7 +19,9 @@
 
 namespace respect::graph {
 
-/// Writes `dag` to the stream in the format above.
+/// Writes `dag` to the stream in the format above.  Throws
+/// std::invalid_argument, before writing anything, when the DAG name or a
+/// node name contains '\n' — the one byte the line framing cannot carry.
 void WriteDag(const Dag& dag, std::ostream& os);
 
 /// Parses a graph written by WriteDag.  Throws std::runtime_error on

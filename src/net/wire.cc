@@ -53,16 +53,14 @@ std::uint32_t ReadPayloadVersion(std::istream& is, const char* what) {
 /// CompileResponse never carries a dangling view.
 std::string_view InternEngineName(std::string name) {
   if (name.empty()) return {};
-  try {
-    return engines::EngineRegistry::Global()
-        .Resolve(engines::EngineRef(name))
-        .name;
-  } catch (const std::exception&) {
-    static std::mutex mutex;
-    static std::set<std::string>* pool = new std::set<std::string>();
-    const std::lock_guard<std::mutex> lock(mutex);
-    return *pool->insert(std::move(name)).first;
+  if (const engines::EngineRegistration* known =
+          engines::EngineRegistry::Global().Find(name)) {
+    return known->name;
   }
+  static std::mutex mutex;
+  static std::set<std::string>* pool = new std::set<std::string>();
+  const std::lock_guard<std::mutex> lock(mutex);
+  return *pool->insert(std::move(name)).first;
 }
 
 /// Decoders promise WireError (or a bad_alloc-class failure) and nothing
@@ -184,11 +182,10 @@ std::string EncodeCompileRequest(const serve::CompileRequest& request,
     WriteString(os, std::move(dag_text).str());
   }
   WritePod(os, static_cast<std::int32_t>(request.num_stages));
-  // An unset EngineRef travels as the empty string and decodes back to an
-  // unset ref, so the service's invalid_argument contract fires on the
-  // serving side, same as a local call.
-  WriteString(os, request.engine.IsEmpty() ? std::string()
-                                           : request.engine.Spelling());
+  // The engine travels as spelled; an empty or unknown name fails the
+  // service's invalid_argument contract on the serving side, same as a
+  // local call.
+  WriteString(os, request.engine);
   WritePod(os, static_cast<std::uint8_t>(request.priority));
   const bool has_deadline = request.deadline.has_value();
   WritePod(os, static_cast<std::uint8_t>(has_deadline));
@@ -227,11 +224,7 @@ WireCompileRequest DecodeCompileRequest(std::string_view payload) {
     std::int32_t num_stages = 0;
     ReadPod(is, num_stages);
     request.num_stages = num_stages;
-    {
-      const std::string engine =
-          ReadString(is, kMaxWireStringBytes, "engine name");
-      if (!engine.empty()) request.engine = engines::EngineRef(engine);
-    }
+    request.engine = ReadString(is, kMaxWireStringBytes, "engine name");
     std::uint8_t priority = 0;
     ReadPod(is, priority);
     if (priority >= serve::kNumPriorityLanes) {

@@ -125,16 +125,16 @@ CompileService::CompileService(const CompilerOptions& compiler_options,
   breaker_options_.failure_threshold = options.breaker_failure_threshold;
   breaker_options_.open_seconds = options.breaker_open_seconds;
   breaker_options_.clock = options.breaker_clock;
-  // Resolve the fallback chain to canonical names now so a typo fails the
-  // constructor, not a degraded request under traffic.  Duplicates collapse
-  // (an alias and its canonical name are one candidate).
+  // Resolve the fallback chain now so a typo fails the constructor, not a
+  // degraded request under traffic.  Duplicates collapse (an alias and its
+  // canonical name are one candidate).
   fallback_chain_.reserve(options.fallback_chain.size());
   for (const std::string& name : options.fallback_chain) {
-    const std::string_view canonical =
-        engines::EngineRegistry::Global().Resolve(EngineRef(name)).name;
-    if (std::find(fallback_chain_.begin(), fallback_chain_.end(), canonical) ==
+    const engines::EngineRegistration* engine =
+        &engines::EngineRegistry::Global().Resolve(name);
+    if (std::find(fallback_chain_.begin(), fallback_chain_.end(), engine) ==
         fallback_chain_.end()) {
-      fallback_chain_.push_back(canonical);
+      fallback_chain_.push_back(engine);
     }
   }
   if (!options.cache_dir.empty()) {
@@ -184,41 +184,49 @@ std::size_t CompileService::LaneIndex(Priority priority) {
 }
 
 CompileService::RequestKey CompileService::MakeKey(
-    const graph::Dag& dag, int num_stages, const EngineRef& engine,
-    std::string_view profile_name) const {
-  const engines::EngineRegistration& registration =
-      engines::EngineRegistry::Global().Resolve(engine);
-  std::optional<tpu::DeviceProfile> profile = tpu::FindProfile(profile_name);
+    const CompileRequest& request) const {
+  const engines::EngineRegistration& engine =
+      engines::EngineRegistry::Global().Resolve(request.engine);
+  std::optional<tpu::DeviceProfile> profile = tpu::FindProfile(request.profile);
   if (!profile) {
     throw std::invalid_argument("unknown device profile: \"" +
-                                std::string(profile_name) + "\"");
+                                request.profile + "\"");
   }
+  RequestKey key;
+  key.dag_hash = graph::HashDag(request.dag);
+  key.profile_fingerprint = profile->Fingerprint();
+  key.profile = *std::move(profile);
+  return KeyWithEngine(std::move(key), engine, request.num_stages);
+}
+
+CompileService::RequestKey CompileService::KeyWithEngine(
+    RequestKey key, const engines::EngineRegistration& engine,
+    int num_stages) const {
   graph::CanonicalHasher h;
   h.Update("respect-serve-key-v1");
-  h.Update(registration.name);  // canonical, so alias and name share a key
+  h.Update(engine.name);  // canonical, so alias and name share a key
   h.Update(num_stages);
   h.Update(options_fingerprint_.hi);
   h.Update(options_fingerprint_.lo);
-  std::uint64_t rl_version = 0;
-  if (registration.uses_rl) {
-    rl_version = compiler_.RlVersion();
-    h.Update(rl_version);
+  key.engine = &engine;
+  key.rl_version = 0;
+  if (engine.uses_rl) {
+    key.rl_version = compiler_.RlVersion();
+    h.Update(key.rl_version);
   }
   // The default profile folds NOTHING in — keys (and thus spill files)
   // from before profiles existed stay reachable.  Any other profile's
   // fingerprint splits the key space: the same DAG compiled for two fleets
   // is two cache entries.
-  const graph::CanonicalHash profile_fp = profile->Fingerprint();
-  if (!profile->IsDefault()) {
+  if (!key.profile.IsDefault()) {
     h.Update("profile");
-    h.Update(profile_fp.hi);
-    h.Update(profile_fp.lo);
+    h.Update(key.profile_fingerprint.hi);
+    h.Update(key.profile_fingerprint.lo);
   }
-  const graph::CanonicalHash dag_hash = graph::HashDag(dag);
-  h.Update(dag_hash.hi);
-  h.Update(dag_hash.lo);
-  return RequestKey{h.Finish(), registration.uses_rl, rl_version,
-                    registration.name, *std::move(profile), profile_fp};
+  h.Update(key.dag_hash.hi);
+  h.Update(key.dag_hash.lo);
+  key.hash = h.Finish();
+  return key;
 }
 
 CompileService::Shard& CompileService::ShardFor(
@@ -233,7 +241,7 @@ void CompileService::InsertLocked(
     Shard& shard, const RequestKey& key, ResultPtr result,
     std::optional<std::chrono::steady_clock::time_point> expires_at) {
   if (per_shard_capacity_ == 0) return;
-  CacheEntry entry{key.hash, std::move(result), key.rl_dependent};
+  CacheEntry entry{key.hash, std::move(result), key.engine->uses_rl};
   if (has_ttl_) {
     entry.has_ttl = true;
     entry.expires_at = SteadyClock::now() + memory_ttl_;
@@ -288,11 +296,9 @@ CompileService::Job CompileService::MakeJob(
   Job job;
   job.request = &request;
   job.record_access = !key.has_value();
-  job.key = key ? *std::move(key)
-                : MakeKey(request.dag, request.num_stages, request.engine,
-                          request.profile);
-  job.response.engine_name = job.key.engine_name;
-  job.response.requested_engine = job.key.engine_name;
+  job.key = key ? *std::move(key) : MakeKey(request);
+  job.response.engine_name = job.key.engine->name;
+  job.response.requested_engine = job.key.engine->name;
   job.response.key_hex = job.key.hash.ToHex();
   return job;
 }
@@ -394,7 +400,7 @@ void CompileService::RunStages(std::span<Job* const> jobs) {
       job->response.outcome = CacheOutcome::kCollapsed;
       // served_by was written before set_value; get() ordered it.
       job->response.engine_name = job->flight->served_by;
-      job->response.degraded = job->flight->served_by != job->key.engine_name;
+      job->response.degraded = job->flight->served_by != job->key.engine->name;
     } catch (...) {
       job->failure = std::current_exception();  // the owner's failure
     }
@@ -424,12 +430,12 @@ CircuitBreaker& CompileService::BreakerFor(std::string_view engine) {
 void CompileService::SolveCold(std::span<Job* const> owners) {
   // Candidate chain: the preferred engine, then each configured fallback
   // (minus the preferred engine itself — already first).
-  const std::string_view preferred = owners.front()->key.engine_name;
-  std::vector<std::string_view> candidates;
+  const engines::EngineRegistration* preferred = owners.front()->key.engine;
+  std::vector<const engines::EngineRegistration*> candidates;
   candidates.reserve(1 + fallback_chain_.size());
   candidates.push_back(preferred);
-  for (const std::string_view name : fallback_chain_) {
-    if (name != preferred) candidates.push_back(name);
+  for (const engines::EngineRegistration* engine : fallback_chain_) {
+    if (engine != preferred) candidates.push_back(engine);
   }
   const double budget = BudgetFor(*owners.front()->request);
 
@@ -445,8 +451,8 @@ void CompileService::SolveCold(std::span<Job* const> owners) {
     for (Job* job : owners) {
       if (job->failure == nullptr && !FailIfLapsed(*job)) group.push_back(job);
     }
-    if (group.size() < 2 || !EngineSupportsBatch(candidates[next])) break;
-    group_failure = Attempt(group, candidates[next],
+    if (group.size() < 2 || !candidates[next]->supports_batch) break;
+    group_failure = Attempt(group, *candidates[next],
                             next + 1 == candidates.size(), budget);
     if (!group_failure.skipped) {
       ++next;
@@ -462,15 +468,14 @@ void CompileService::SolveCold(std::span<Job* const> owners) {
   }
 }
 
-void CompileService::WalkChain(Job& job,
-                               std::span<const std::string_view> candidates,
-                               std::size_t from, double budget,
-                               AttemptOutcome first) {
+void CompileService::WalkChain(
+    Job& job, std::span<const engines::EngineRegistration* const> candidates,
+    std::size_t from, double budget, AttemptOutcome first) {
   Job* const jobs[] = {&job};
   for (std::size_t i = from; i < candidates.size(); ++i) {
     if (FailIfLapsed(job)) return;
     AttemptOutcome outcome =
-        Attempt(jobs, candidates[i], i + 1 == candidates.size(), budget);
+        Attempt(jobs, *candidates[i], i + 1 == candidates.size(), budget);
     if (outcome.skipped) continue;
     if (outcome.error == nullptr) return;
     if (first.error == nullptr) first = std::move(outcome);
@@ -484,7 +489,7 @@ void CompileService::WalkChain(Job& job,
     deadline_expired_.fetch_add(1, std::memory_order_relaxed);
     job.failure = std::make_exception_ptr(DeadlineExceeded(
         "solve budget exhausted across the engine chain (preferred \"" +
-        std::string(job.key.engine_name) + "\" plus " +
+        job.key.engine->name + "\" plus " +
         std::to_string(candidates.size() - 1) + " fallback(s))"));
   }
 }
@@ -502,24 +507,24 @@ bool CompileService::FailIfLapsed(Job& job) {
 }
 
 CompileService::AttemptOutcome CompileService::Attempt(
-    std::span<Job* const> jobs, std::string_view engine, bool last,
-    double budget) {
+    std::span<Job* const> jobs, const engines::EngineRegistration& engine,
+    bool last, double budget) {
   AttemptOutcome outcome;
   CircuitBreaker* breaker = breaker_options_.failure_threshold > 0
-                                ? &BreakerFor(engine)
+                                ? &BreakerFor(engine.name)
                                 : nullptr;
   if (breaker != nullptr && !breaker->Allow() && !last) {
     // Open breaker: skip the sick engine straight to its fallback.  The
     // last candidate is always attempted — short-circuiting it would turn
     // "sick engine" into "no answer at all".
-    obs::RecordInstant("serve.breaker_short_circuit", engine.data(),
-                       static_cast<std::uint32_t>(engine.size()));
+    obs::RecordInstant("serve.breaker_short_circuit", engine.name.data(),
+                       static_cast<std::uint32_t>(engine.name.size()));
     outcome.skipped = true;
     return outcome;
   }
   // Engine names borrow from the registry (process lifetime), so the
   // span's detail pointer stays valid for any later drain.
-  OBS_SPAN_DETAIL("serve.attempt", engine.data(), engine.size());
+  OBS_SPAN_DETAIL("serve.attempt", engine.name.data(), engine.name.size());
   const Job& lead = *jobs.front();
   try {
     const core::CancelToken cancel = budget > 0.0
@@ -529,15 +534,17 @@ CompileService::AttemptOutcome CompileService::Attempt(
     std::vector<CompileResult> results;
     if (jobs.size() == 1) {
       results.push_back(compiler_.Compile(lead.request->dag,
-                                          lead.request->num_stages, engine,
-                                          lead.key.profile, cancel));
+                                          lead.request->num_stages,
+                                          engine.name, lead.key.profile,
+                                          cancel));
     } else {
       std::vector<const graph::Dag*> dags;
       dags.reserve(jobs.size());
       for (const Job* job : jobs) dags.push_back(&job->request->dag);
       engines::SolveStats stats;
-      results = compiler_.CompileGroup(dags, lead.request->num_stages, engine,
-                                       lead.key.profile, cancel, &stats);
+      results = compiler_.CompileGroup(dags, lead.request->num_stages,
+                                       engine.name, lead.key.profile, cancel,
+                                       &stats);
       batch_solved_.fetch_add(stats.batch_solved, std::memory_order_relaxed);
       batch_single_.fetch_add(stats.single_solved, std::memory_order_relaxed);
       batch_groups_.fetch_add(stats.batch_groups, std::memory_order_relaxed);
@@ -559,9 +566,9 @@ CompileService::AttemptOutcome CompileService::Attempt(
       response.result =
           std::make_shared<const CompileResult>(std::move(results[k]));
       response.solve_seconds = seconds;
-      if (engine != jobs[k]->key.engine_name) {
+      if (&engine != jobs[k]->key.engine) {
         response.degraded = true;
-        response.engine_name = engine;
+        response.engine_name = engine.name;
         degraded_served_.fetch_add(1, std::memory_order_relaxed);
       } else if (jobs.size() == 1 && lead.grouped) {
         // A group member its group could not lock-step: a straggler.
@@ -601,9 +608,10 @@ void CompileService::Publish(
   // resolves, so collapsed waiters share the answer, tagged degraded.
   std::optional<RequestKey> fallback_key;
   if (job.response.degraded) {
-    fallback_key = MakeKey(job.request->dag, job.request->num_stages,
-                           EngineRef(job.response.engine_name),
-                           job.key.profile.name);
+    fallback_key = KeyWithEngine(
+        job.key,
+        engines::EngineRegistry::Global().Resolve(job.response.engine_name),
+        job.request->num_stages);
     Shard& used = ShardFor(fallback_key->hash);
     const std::lock_guard<std::mutex> lock(used.mutex);
     InsertLocked(used, *fallback_key, result, expires_at);
@@ -629,9 +637,9 @@ void CompileService::EnqueueWriteback(const RequestKey& key,
   }
   store::SpillMeta meta;
   meta.key = key.hash;
-  meta.rl_dependent = key.rl_dependent;
+  meta.rl_dependent = key.engine->uses_rl;
   meta.rl_version = key.rl_version;
-  meta.engine_name = std::string(key.engine_name);
+  meta.engine_name = key.engine->name;
   meta.profile_name = key.profile.name;
   meta.profile_fingerprint = key.profile_fingerprint;
   // Normal lane: writeback must not wait out a capped batch flood, and
@@ -748,9 +756,7 @@ bool CompileService::TryPeerWarm(Job& job) {
 
 graph::CanonicalHash CompileService::KeyFor(
     const CompileRequest& request) const {
-  return MakeKey(request.dag, request.num_stages, request.engine,
-                 request.profile)
-      .hash;
+  return MakeKey(request).hash;
 }
 
 std::optional<CompileResponse> CompileService::TryServeLocal(
@@ -915,12 +921,6 @@ std::exception_ptr CompileService::StartQueued(
   return nullptr;
 }
 
-bool CompileService::EngineSupportsBatch(std::string_view engine_name) const {
-  return engines::EngineRegistry::Global()
-      .Create(engine_name, compiler_.MakeEngineContext())
-      ->SupportsBatch();
-}
-
 std::vector<CompileResponse> CompileService::CompileBatch(
     std::span<const CompileRequest> requests) {
   // Warm kUse entries answer in place — no Dag copy, no pool round-trip.
@@ -941,7 +941,6 @@ std::vector<CompileResponse> CompileService::CompileBatch(
                       std::uint64_t, double>,
            std::vector<GroupMember>>
       groups;
-  std::map<std::string_view, bool> supports_batch;
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const CompileRequest& request = requests[i];
@@ -954,19 +953,14 @@ std::vector<CompileResponse> CompileService::CompileBatch(
       responses[i] = std::move(job.response);
       continue;
     }
-    if (batch_decode_) {
-      // One SupportsBatch probe per distinct engine in the batch.
-      auto [probe, inserted] = supports_batch.try_emplace(job.key.engine_name);
-      if (inserted) probe->second = EngineSupportsBatch(job.key.engine_name);
-      if (probe->second) {
-        const auto group_key = std::make_tuple(
-            job.key.engine_name, request.num_stages, request.dag.NodeCount(),
-            job.key.profile_fingerprint.hi, job.key.profile_fingerprint.lo,
-            BudgetFor(request));
-        groups[group_key].push_back(
-            GroupMember{i, std::move(job), {}, SteadyClock::now()});
-        continue;
-      }
+    if (batch_decode_ && job.key.engine->supports_batch) {
+      const auto group_key = std::make_tuple(
+          std::string_view(job.key.engine->name), request.num_stages,
+          request.dag.NodeCount(), job.key.profile_fingerprint.hi,
+          job.key.profile_fingerprint.lo, BudgetFor(request));
+      groups[group_key].push_back(
+          GroupMember{i, std::move(job), {}, SteadyClock::now()});
+      continue;
     }
     pending.emplace_back(i, SubmitInternal(request, std::move(job.key)));
   }

@@ -1,7 +1,7 @@
 // CompileService — the serving front end over PipelineCompiler.
 //
 // The API is built around two first-class types (serve/request.h):
-// CompileRequest — dag, num_stages, engine (any spelling via EngineRef),
+// CompileRequest — dag, num_stages, engine (canonical name or CLI alias),
 // priority lane, optional absolute deadline, cache policy — and
 // CompileResponse — the shared result plus provenance (cache outcome,
 // queue-wait and solve seconds, canonical engine name, key hex).
@@ -14,7 +14,7 @@
 //   assert(r1.result == r2.result);   // alias and name share one key
 //
 // Every request is content-addressed: the key is a graph::CanonicalHash
-// folding the graph's serialized form, the engine's canonical name,
+// folding the graph's digest (graph::HashDag), the engine's canonical name,
 // num_stages, the compiler options fingerprint, and (for RL-dependent
 // engines only) the RL weight snapshot version.  Repeat requests are
 // answered from a sharded LRU cache of shared immutable CompileResults, and
@@ -70,7 +70,7 @@
 #include <vector>
 
 #include "core/respect.h"
-#include "engines/method.h"
+#include "engines/registry.h"
 #include "graph/canonical_hash.h"
 #include "graph/dag.h"
 #include "obs/registry.h"
@@ -170,9 +170,9 @@ struct ServiceOptions {
   std::map<std::string, int> tenant_quotas;
 
   /// Ordered engines tried after the preferred engine blows its solve
-  /// budget, throws, or sits behind an open circuit breaker.  Any EngineRef
-  /// spelling; resolved to canonical names at construction (unknown names
-  /// throw std::invalid_argument there, not under traffic).  Empty = no
+  /// budget, throws, or sits behind an open circuit breaker.  Canonical
+  /// names or aliases; resolved to registrations at construction (unknown
+  /// names throw std::invalid_argument there, not under traffic).  Empty = no
   /// fallback: a blown budget surfaces as DeadlineExceeded.  A response
   /// served by a fallback is tagged degraded and cached under the fallback
   /// engine's own key, never the preferred engine's.
@@ -477,9 +477,15 @@ class CompileService {
 
   struct RequestKey {
     graph::CanonicalHash hash;
-    bool rl_dependent = false;
+
+    /// graph::HashDag of the request's DAG, kept so a fallback engine's key
+    /// (Publish) is derived without hashing the DAG again.
+    graph::CanonicalHash dag_hash;
+
+    /// The resolved engine (process lifetime, owned by the registry); its
+    /// canonical name and uses_rl flag shape the hash.
+    const engines::EngineRegistration* engine = nullptr;
     std::uint64_t rl_version = 0;  // snapshot folded into hash (RL only)
-    std::string_view engine_name;  // canonical; borrowed from the registry
 
     /// Resolved device profile the solve targets.  The default profile
     /// folds nothing into the hash (pre-profile keys and spill files stay
@@ -526,12 +532,18 @@ class CompileService {
     bool grouped = false;  // a CompileBatch group member (batch_single)
   };
 
-  /// Key stage: resolves the engine and the named device profile and
-  /// builds the content-addressed key.  An unknown profile name throws
-  /// std::invalid_argument (same contract as an unknown engine).
-  [[nodiscard]] RequestKey MakeKey(const graph::Dag& dag, int num_stages,
-                                   const EngineRef& engine,
-                                   std::string_view profile_name) const;
+  /// Key stage: resolves the engine and the named device profile, hashes
+  /// the DAG and builds the content-addressed key.  An unknown engine or
+  /// profile name throws std::invalid_argument, as does a DAG whose names
+  /// the hash cannot frame (graph::WriteDag).
+  [[nodiscard]] RequestKey MakeKey(const CompileRequest& request) const;
+
+  /// `key` readdressed to `engine`: the hash is recomputed from the kept DAG
+  /// digest and profile, with `engine`'s name and (RL engines only) the
+  /// current snapshot version.
+  [[nodiscard]] RequestKey KeyWithEngine(
+      RequestKey key, const engines::EngineRegistration& engine,
+      int num_stages) const;
 
   /// A job for `request` with its provenance filled in; a precomputed key
   /// means the caller's memory probe already recorded the access.
@@ -587,15 +599,16 @@ class CompileService {
 
   /// The rest of one owner's chain from candidate `from` on; `first` is
   /// the failure inherited from a failed group attempt (if any).
-  void WalkChain(Job& job, std::span<const std::string_view> candidates,
+  void WalkChain(Job& job,
+                 std::span<const engines::EngineRegistration* const> candidates,
                  std::size_t from, double budget, AttemptOutcome first);
 
   /// One breaker-gated engine attempt for `jobs` under one fresh budget
   /// token — a lock-stepped CompileGroup when there are several.  Fills
   /// the responses on success; a failure is recorded once.
-  [[nodiscard]] AttemptOutcome Attempt(std::span<Job* const> jobs,
-                                       std::string_view engine, bool last,
-                                       double budget);
+  [[nodiscard]] AttemptOutcome Attempt(
+      std::span<Job* const> jobs, const engines::EngineRegistration& engine,
+      bool last, double budget);
 
   /// Fails `job` with DeadlineExceeded when its request deadline passed;
   /// true when it did.
@@ -634,10 +647,6 @@ class CompileService {
     std::promise<CompileResponse> promise;
     std::chrono::steady_clock::time_point enqueue_time{};
   };
-
-  /// True when the engine behind `engine_name` overrides ScheduleBatch
-  /// with a real lock-stepped path (SchedulerEngine::SupportsBatch).
-  [[nodiscard]] bool EngineSupportsBatch(std::string_view engine_name) const;
 
   /// Body of one grouped CompileBatch task (runs on a worker): per member,
   /// lane/tenant accounting and the deadline check, then RunStages over
@@ -777,8 +786,8 @@ class CompileService {
   mutable std::mutex peer_fetch_mutex_;
   std::shared_ptr<const PeerFetchFn> peer_fetch_;
 
-  /// Fallback chain resolved to canonical registry names at construction.
-  std::vector<std::string_view> fallback_chain_;
+  /// Fallback chain resolved to registry entries at construction.
+  std::vector<const engines::EngineRegistration*> fallback_chain_;
   double default_solve_budget_seconds_ = 0.0;
 
   /// Deadline-aware admission (ServiceOptions::deadline_admission) and the

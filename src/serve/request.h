@@ -1,7 +1,7 @@
 // First-class serving request/response types for CompileService.
 //
 // A CompileRequest carries everything one compile needs — the graph, the
-// stage count, the engine (any spelling, via engines::EngineRef) — plus the
+// stage count, the engine (canonical name or CLI alias) — plus the
 // per-request serving attributes the old overload matrix could not express:
 // a Priority lane, an optional absolute deadline, and a cache policy.  A
 // CompileResponse pairs the shared result with its provenance: how the
@@ -29,7 +29,6 @@
 #include <string_view>
 #include <vector>
 
-#include "engines/engine_ref.h"
 #include "graph/dag.h"
 
 namespace respect {
@@ -41,8 +40,6 @@ namespace respect::serve {
 /// Cached results are shared and immutable; holders may outlive the cache
 /// entry (eviction and invalidation only drop the cache's reference).
 using ResultPtr = std::shared_ptr<const CompileResult>;
-
-using EngineRef = engines::EngineRef;
 
 /// Scheduling lane of a request.  Values are the queue's lane indices:
 /// smaller = more urgent (see serve::RequestQueue for the exact ordering
@@ -165,9 +162,9 @@ struct CompileRequest {
   graph::Dag dag;
   int num_stages = 0;
 
-  /// Canonical name, CLI alias, or Method value; an unset ref fails with
-  /// std::invalid_argument.
-  EngineRef engine;
+  /// Canonical engine name or CLI alias (engines::EngineRegistry); an empty
+  /// or unknown name fails with std::invalid_argument.
+  std::string engine;
 
   Priority priority = Priority::kNormal;
 

@@ -271,11 +271,11 @@ TEST(BatchCompileTest, CompileBatchGroupsBySizeAndMatchesSequential) {
   engines::SolveStats stats;
   core::ThreadPool pool(3);
   const auto batched = compiler.CompileBatch(
-      std::span<const graph::Dag* const>(ptrs), 4, Method::kRespectRl, pool,
+      std::span<const graph::Dag* const>(ptrs), 4, "RESPECT", pool,
       &stats);
   ASSERT_EQ(batched.size(), dags.size());
   for (std::size_t i = 0; i < dags.size(); ++i) {
-    const auto single = compiler.Compile(dags[i], 4, Method::kRespectRl);
+    const auto single = compiler.Compile(dags[i], 4, "RESPECT");
     EXPECT_EQ(batched[i].schedule.stage, single.schedule.stage) << "i=" << i;
   }
   // 4x40 and 3x25 batch-solve; the lone 33-node graph is a straggler.
@@ -299,7 +299,7 @@ TEST(BatchCompileTest, CompileGroupRunsInlineAndMatchesSequential) {
       tpu::DefaultProfile(), core::CancelToken(), &stats);
   ASSERT_EQ(grouped.size(), 4u);
   for (int g = 0; g < 4; ++g) {
-    const auto single = compiler.Compile(dags[g], 4, Method::kRespectRl);
+    const auto single = compiler.Compile(dags[g], 4, "RESPECT");
     EXPECT_EQ(grouped[g].schedule.stage, single.schedule.stage);
   }
   EXPECT_EQ(stats.batch_solved, 4u);
@@ -316,7 +316,7 @@ TEST(BatchCompileTest, NonBatchEnginesFallBackToSingleSolves) {
   engines::SolveStats stats;
   core::ThreadPool pool(2);
   const auto results = compiler.CompileBatch(
-      std::span<const graph::Dag* const>(ptrs), 4, Method::kHuLevel, pool,
+      std::span<const graph::Dag* const>(ptrs), 4, "HuLevel", pool,
       &stats);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(stats.batch_solved, 0u);

@@ -83,7 +83,7 @@ graph::Dag SampleDag(int nodes, std::uint64_t seed) {
 }
 
 CompileResponse Ask(serve::CompileService& service, const graph::Dag& dag,
-                    int num_stages, serve::EngineRef engine,
+                    int num_stages, std::string engine,
                     CachePolicy policy = CachePolicy::kUse) {
   return service.Compile(CompileRequest{.dag = dag,
                                         .num_stages = num_stages,
@@ -128,8 +128,6 @@ class StallPollEngine : public engines::SchedulerEngine {
     return solves;
   }
 
-  [[nodiscard]] std::string_view Name() const override { return "StallPoll"; }
-
   [[nodiscard]] engines::EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const engines::EngineBudget& budget) const override {
@@ -157,8 +155,6 @@ class FlakyEngine : public engines::SchedulerEngine {
     return attempts;
   }
 
-  [[nodiscard]] std::string_view Name() const override { return "Flaky"; }
-
   [[nodiscard]] engines::EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const engines::EngineBudget&) const override {
@@ -177,12 +173,12 @@ void EnsureChaosEngines() {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   if (!registry.Contains("StallPoll")) {
     registry.Register({"StallPoll", "", "test-only cancellable slow engine",
-                       {}, [](const engines::EngineContext&) {
+                       [](const engines::EngineContext&) {
                          return std::make_unique<StallPollEngine>();
                        }});
   }
   if (!registry.Contains("Flaky")) {
-    registry.Register({"Flaky", "", "test-only switchable failing engine", {},
+    registry.Register({"Flaky", "", "test-only switchable failing engine",
                        [](const engines::EngineContext&) {
                          return std::make_unique<FlakyEngine>();
                        }});
@@ -364,6 +360,27 @@ TEST(ChaosServiceTest, BlownBudgetFallsBackDegradedAndCachesUnderFallbackKey) {
   EXPECT_EQ(again.outcome, CacheOutcome::kMiss);
   EXPECT_TRUE(again.degraded);
   EXPECT_EQ(service.Metrics().budget_blown, 2u);
+
+  // The fallback key keeps every other input of the request: a degraded
+  // answer for a non-default profile lands under ListScheduling's key for
+  // that same profile, apart from the default-profile entry above.
+  const CompileResponse profiled =
+      service.Compile(CompileRequest{.dag = dag,
+                                     .num_stages = 4,
+                                     .engine = "StallPoll",
+                                     .profile = "coral-x2fast",
+                                     .solve_budget_seconds = 0.05});
+  EXPECT_TRUE(profiled.degraded);
+  EXPECT_EQ(profiled.outcome, CacheOutcome::kMiss);
+  const CompileResponse profiled_direct =
+      service.Compile(CompileRequest{.dag = dag,
+                                     .num_stages = 4,
+                                     .engine = "list",
+                                     .profile = "coral-x2fast"});
+  EXPECT_EQ(profiled_direct.outcome, CacheOutcome::kHit);
+  EXPECT_FALSE(profiled_direct.degraded);
+  EXPECT_EQ(profiled_direct.result, profiled.result);
+  EXPECT_NE(profiled_direct.key_hex, direct.key_hex);
 }
 
 TEST(ChaosServiceTest, BlownBudgetWithoutFallbackIsDeadlineExceeded) {
@@ -474,10 +491,10 @@ TEST(ChaosServiceTest, LastCandidateIsAttemptedEvenWithAnOpenBreaker) {
 
 // ── Path equivalence ─────────────────────────────────────────────────────
 // The same four same-size RESPECT misses must get the same answer whichever
-// entry path carries them: Compile one at a time, CompileBatch with the
-// grouped solve stage (batch_decode), or CompileBatch fanned out as single
-// requests.  Counters may differ — a group attempt is one attempt — but
-// what each caller sees may not.
+// entry path carries them: Compile one at a time, Submit each and wait,
+// CompileBatch with the grouped solve stage (batch_decode), or CompileBatch
+// fanned out as single requests.  Counters may differ — a group attempt is one
+// attempt — but what each caller sees may not.
 
 /// What one caller observes: provenance, outcome, error type, schedule.
 struct Seen {
@@ -504,7 +521,17 @@ std::string ErrorType(const std::exception& error) {
   return typeid(error).name();
 }
 
-enum class EntryPath { kCompile, kBatchGrouped, kBatchFannedOut };
+enum class EntryPath { kCompile, kSubmit, kBatchGrouped, kBatchFannedOut };
+
+const char* PathName(EntryPath path) {
+  switch (path) {
+    case EntryPath::kCompile: return "compile";
+    case EntryPath::kSubmit: return "submit";
+    case EntryPath::kBatchGrouped: return "grouped";
+    case EntryPath::kBatchFannedOut: return "fanned-out";
+  }
+  return "unknown";
+}
 
 /// Runs `requests` through one entry path on a fresh single-worker service
 /// (`arm`, if set, prepares it first — opens a breaker, installs a hook).
@@ -519,10 +546,18 @@ std::vector<Seen> RunPath(EntryPath path, serve::ServiceOptions svc,
   serve::CompileService service(options, svc);
   if (arm) arm(service);
   std::vector<Seen> seen(requests.size());
-  if (path == EntryPath::kCompile) {
+  if (path == EntryPath::kCompile || path == EntryPath::kSubmit) {
+    std::vector<serve::CompileService::Ticket> tickets;
+    if (path == EntryPath::kSubmit) {
+      for (const CompileRequest& request : requests) {
+        tickets.push_back(service.Submit(request));
+      }
+    }
     for (std::size_t i = 0; i < requests.size(); ++i) {
       try {
-        seen[i] = See(service.Compile(requests[i]));
+        seen[i] = See(path == EntryPath::kSubmit
+                          ? tickets[i].WaitResponse()
+                          : service.Compile(requests[i]));
       } catch (const std::exception& e) {
         seen[i].error = ErrorType(e);
       }
@@ -561,11 +596,10 @@ std::vector<Seen> ExpectPathsAgree(
     const std::function<void(serve::CompileService&)>& arm = {}) {
   const std::vector<Seen> sync =
       RunPath(EntryPath::kCompile, svc, requests, arm);
-  for (const EntryPath path :
-       {EntryPath::kBatchGrouped, EntryPath::kBatchFannedOut}) {
+  for (const EntryPath path : {EntryPath::kSubmit, EntryPath::kBatchGrouped,
+                               EntryPath::kBatchFannedOut}) {
     const std::vector<Seen> batch = RunPath(path, svc, requests, arm);
-    const char* name =
-        path == EntryPath::kBatchGrouped ? "grouped" : "fanned-out";
+    const char* name = PathName(path);
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const Seen& want = sync[i];
       const Seen& got = batch[i];

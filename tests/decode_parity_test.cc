@@ -174,7 +174,7 @@ TEST(RepairOnceTest, SchedulerAndEnginePathsAgree) {
 
     // Engine/façade path (repairs once in the façade) agrees with the
     // standalone scheduler path.
-    const auto compiled = compiler.Compile(dag, stages, Method::kRespectRl);
+    const auto compiled = compiler.Compile(dag, stages, "RESPECT");
     EXPECT_EQ(compiled.schedule.stage, standalone.schedule.stage);
   }
 }

@@ -24,7 +24,7 @@ CompilerOptions FastOptions() {
 }
 
 // Parameterized over the engine registry: every registered engine (not a
-// hard-coded Method list) must serve the full compile->simulate flow.
+// hard-coded engine list) must serve the full compile->simulate flow.
 class AllMethodsIntegrationTest
     : public ::testing::TestWithParam<std::string> {};
 
@@ -57,13 +57,12 @@ TEST(IntegrationTest, ExactNeverWorseThanHeuristicsOnPeakMemory) {
   PipelineCompiler compiler(FastOptions());
   std::mt19937_64 rng(3);
   const graph::Dag dag = graph::SampleTrainingDag(40, rng);
-  const auto exact = compiler.Compile(dag, 4, Method::kExactIlp);
-  for (const Method m :
-       {Method::kEdgeTpuCompiler, Method::kListScheduling, Method::kHuLevel,
-        Method::kForceDirected, Method::kGreedyBalance}) {
-    const auto other = compiler.Compile(dag, 4, m);
+  const auto exact = compiler.Compile(dag, 4, "ExactILP");
+  for (const char* engine : {"EdgeTPUCompiler", "ListScheduling", "HuLevel",
+                             "ForceDirected", "GreedyBalance"}) {
+    const auto other = compiler.Compile(dag, 4, engine);
     EXPECT_GE(other.peak_stage_param_bytes, exact.peak_stage_param_bytes)
-        << MethodName(m);
+        << engine;
   }
 }
 
@@ -72,9 +71,8 @@ TEST(IntegrationTest, QuantizedPackageShrinksParamBytes) {
   CompilerOptions raw = FastOptions();
   raw.quantize = false;
   const graph::Dag dag = models::BuildModel(models::ModelName::kResNet50);
-  const auto q =
-      PipelineCompiler(quantized).Compile(dag, 4, Method::kGreedyBalance);
-  const auto f = PipelineCompiler(raw).Compile(dag, 4, Method::kGreedyBalance);
+  const auto q = PipelineCompiler(quantized).Compile(dag, 4, "GreedyBalance");
+  const auto f = PipelineCompiler(raw).Compile(dag, 4, "GreedyBalance");
   EXPECT_NEAR(static_cast<double>(f.peak_stage_param_bytes) /
                   static_cast<double>(q.peak_stage_param_bytes),
               4.0, 0.1);
@@ -106,8 +104,8 @@ TEST(IntegrationTest, SixStagePipelineFasterThanSingleTpuForBigModel) {
   // Pipelining must pay off for a model whose weights dwarf one cache.
   PipelineCompiler compiler(FastOptions());
   const graph::Dag dag = models::BuildModel(models::ModelName::kResNet152);
-  const auto six = compiler.Compile(dag, 6, Method::kExactIlp);
-  const auto one = compiler.Compile(dag, 1, Method::kGreedyBalance);
+  const auto six = compiler.Compile(dag, 6, "ExactILP");
+  const auto one = compiler.Compile(dag, 1, "GreedyBalance");
   tpu::SimConfig sim;
   sim.num_inferences = 200;
   EXPECT_LT(tpu::SimulatePipeline(six.package, sim).per_inference_us,

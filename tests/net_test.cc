@@ -182,7 +182,7 @@ TEST(WireCodecTest, CompileRequestRoundTripsEveryField) {
   EXPECT_TRUE(decoded.no_forward);
   EXPECT_EQ(graph::HashDag(out.dag), graph::HashDag(request.dag));
   EXPECT_EQ(out.num_stages, 5);
-  EXPECT_EQ(out.engine.Spelling(), "anneal");
+  EXPECT_EQ(out.engine, "anneal");
   EXPECT_EQ(out.priority, Priority::kBatch);
   EXPECT_EQ(out.cache_policy, CachePolicy::kRefresh);
   EXPECT_EQ(out.profile, "");
@@ -203,9 +203,17 @@ TEST(WireCodecTest, CompileRequestRoundTripsEveryField) {
   bare.dag = SampleDag(8, 3);
   const net::WireCompileRequest bare_out =
       net::DecodeCompileRequest(net::EncodeCompileRequest(bare, false));
-  EXPECT_TRUE(bare_out.request.engine.IsEmpty());
+  EXPECT_TRUE(bare_out.request.engine.empty());
   EXPECT_FALSE(bare_out.request.deadline.has_value());
   EXPECT_FALSE(bare_out.no_forward);
+
+  // A name the line-framed DAG text cannot carry fails at the sender, typed,
+  // instead of smuggling a forged record to the receiver.
+  CompileRequest forged;
+  forged.dag = SampleDag(8, 4);
+  forged.dag.SetName("model\nedge 1 0");
+  EXPECT_THROW((void)net::EncodeCompileRequest(forged, false),
+               std::invalid_argument);
 }
 
 TEST(WireCodecTest, CompileResponseRoundTripsEveryField) {
@@ -454,7 +462,7 @@ TEST(FleetServerTest, TypedErrorsSurviveTheHop) {
   FleetClient client(server.Address());
 
   CompileRequest unknown_engine = AnnealRequest(SampleDag(10, 52));
-  unknown_engine.engine = serve::EngineRef("no-such-engine");
+  unknown_engine.engine = "no-such-engine";
   EXPECT_THROW((void)client.Compile(unknown_engine), std::invalid_argument);
 
   CompileRequest expired = AnnealRequest(SampleDag(10, 53));

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 
 #include "graph/sampler.h"
 #include "graph/serialize.h"
@@ -64,6 +65,26 @@ TEST(SerializeTest, PreservesNamesWithSpaces) {
   const Dag loaded = ReadDag(ss);
   EXPECT_EQ(loaded.Name(), "my model v2");
   EXPECT_EQ(loaded.Attr(0).name, "conv 1 / branch a");
+}
+
+TEST(SerializeTest, RefusesNewlinesInNames) {
+  // A name runs to the end of its line, so a newline inside one would forge
+  // a record; WriteDag refuses both name kinds before writing a byte.
+  Dag named("model\nedge 1 0");
+  named.AddNode({});
+  named.AddNode({});
+  std::stringstream dag_name;
+  EXPECT_THROW(WriteDag(named, dag_name), std::invalid_argument);
+  EXPECT_TRUE(dag_name.str().empty());
+
+  Dag node_named("model");
+  OpAttr attr;
+  attr.name = "n0\nedge 1 0";
+  node_named.AddNode(std::move(attr));
+  node_named.AddNode({});
+  std::stringstream node_name;
+  EXPECT_THROW(WriteDag(node_named, node_name), std::invalid_argument);
+  EXPECT_TRUE(node_name.str().empty());
 }
 
 TEST(SerializeTest, RejectsBadHeader) {

@@ -54,7 +54,7 @@ graph::Dag SampleDag(int nodes, std::uint64_t seed) {
 
 /// Shorthand for the common synchronous request shape.
 CompileResponse Ask(serve::CompileService& service, const graph::Dag& dag,
-                    int num_stages, serve::EngineRef engine,
+                    int num_stages, std::string engine,
                     CachePolicy policy = CachePolicy::kUse) {
   return service.Compile(CompileRequest{.dag = dag,
                                         .num_stages = num_stages,
@@ -116,16 +116,13 @@ TEST(CanonicalHashTest, HasherIsStreamingForBytesOnly) {
   EXPECT_NE(number.Finish(), one.Finish());
 }
 
-TEST(EngineRefTest, ResolvesEverySpellingToOneRegistration) {
+TEST(EngineResolveTest, ResolvesEverySpellingToOneRegistration) {
   const engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   const engines::EngineRegistration& by_name = registry.Resolve("Annealing");
   EXPECT_EQ(&registry.Resolve("anneal"), &by_name);
-  EXPECT_EQ(&registry.Resolve(Method::kAnnealing), &by_name);
+  EXPECT_EQ(registry.Find("anneal"), &by_name);
   EXPECT_THROW((void)registry.Resolve("NoSuchEngine"), std::invalid_argument);
-  EXPECT_THROW((void)registry.Resolve(serve::EngineRef{}),
-               std::invalid_argument);
-  EXPECT_EQ(serve::EngineRef{}.Spelling(), "<unset>");
-  EXPECT_EQ(serve::EngineRef(Method::kAnnealing).Spelling(), "Annealing");
+  EXPECT_THROW((void)registry.Resolve(""), std::invalid_argument);
 }
 
 TEST(CompileServiceTest, CacheHitMatchesColdSolveForEveryBuiltinEngine) {
@@ -133,10 +130,12 @@ TEST(CompileServiceTest, CacheHitMatchesColdSolveForEveryBuiltinEngine) {
   PipelineCompiler cold(FastOptions());
   const graph::Dag dag = SampleDag(24, 7);
 
-  for (const Method method : kAllMethods) {
-    const std::string name(MethodName(method));
-    const CompileResponse first = Ask(service, dag, 4, method);
-    const CompileResponse second = Ask(service, dag, 4, method);
+  const std::vector<std::string> builtin = {
+      "RESPECT", "ExactILP", "EdgeTPUCompiler", "ListScheduling",
+      "HuLevel", "ForceDirected", "Annealing", "GreedyBalance"};
+  for (const std::string& name : builtin) {
+    const CompileResponse first = Ask(service, dag, 4, name);
+    const CompileResponse second = Ask(service, dag, 4, name);
     // Pointer equality proves the second answer came from the cache.
     EXPECT_EQ(first.result, second.result) << name;
     EXPECT_EQ(first.outcome, CacheOutcome::kMiss) << name;
@@ -146,24 +145,23 @@ TEST(CompileServiceTest, CacheHitMatchesColdSolveForEveryBuiltinEngine) {
     EXPECT_EQ(first.engine_name, name);
     EXPECT_EQ(first.key_hex.size(), 32u);
     EXPECT_EQ(first.key_hex, second.key_hex);
-    ExpectSameResult(*first.result, cold.Compile(dag, 4, method), name);
+    ExpectSameResult(*first.result, cold.Compile(dag, 4, name), name);
   }
   const serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.misses, kAllMethods.size());
-  EXPECT_EQ(metrics.hits, kAllMethods.size());
-  EXPECT_EQ(metrics.cache_size, kAllMethods.size());
+  EXPECT_EQ(metrics.misses, builtin.size());
+  EXPECT_EQ(metrics.hits, builtin.size());
+  EXPECT_EQ(metrics.cache_size, builtin.size());
 }
 
-TEST(CompileServiceTest, AliasNameAndMethodShareOneEntry) {
+TEST(CompileServiceTest, AliasAndNameShareOneEntry) {
   serve::CompileService service(FastOptions());
   const graph::Dag dag = SampleDag(20, 9);
   const CompileResponse by_alias = Ask(service, dag, 4, "anneal");
   const CompileResponse by_name = Ask(service, dag, 4, "Annealing");
-  const CompileResponse by_method = Ask(service, dag, 4, Method::kAnnealing);
   EXPECT_EQ(by_alias.result, by_name.result);
-  EXPECT_EQ(by_alias.result, by_method.result);
+  EXPECT_EQ(by_alias.key_hex, by_name.key_hex);
   EXPECT_EQ(service.Metrics().misses, 1u);
-  EXPECT_EQ(service.Metrics().hits, 2u);
+  EXPECT_EQ(service.Metrics().hits, 1u);
 }
 
 TEST(CompileServiceTest, KeyCoversStagesAndGraphContent) {
@@ -176,6 +174,42 @@ TEST(CompileServiceTest, KeyCoversStagesAndGraphContent) {
   (void)Ask(service, renamed, 4, "list");
   EXPECT_EQ(service.Metrics().misses, 3u);
   EXPECT_EQ(service.Metrics().hits, 0u);
+}
+
+// Regression: node names were hashed raw inside the line-framed DAG text,
+// so a name holding "\nedge 2 0" forged an edge line.  The forged DAG
+// collided with one that really has the edge 2->0, and the real one was
+// then served the forged one's schedule — which violates that edge.
+TEST(CompileServiceTest, NewlineInNodeNameCannotForgeAnEdge) {
+  const auto three_nodes = [](const std::string& last_name) {
+    graph::Dag dag("forge");
+    for (const std::string& name : {std::string("n0"), std::string("n1"),
+                                    last_name}) {
+      dag.AddNode({name, graph::OpType::kConv2D, 4096, 512, 10'000});
+    }
+    return dag;
+  };
+  const graph::Dag forged = three_nodes("n2\nedge 2 0");
+  graph::Dag real = three_nodes("n2");
+  real.AddEdge(2, 0);
+  EXPECT_THROW((void)graph::HashDag(forged), std::invalid_argument);
+
+  sched::PipelineConstraints constraints;
+  constraints.num_stages = 2;
+  for (const std::string engine : {"ListScheduling", "GreedyBalance"}) {
+    serve::CompileService service(FastOptions());
+    EXPECT_THROW((void)Ask(service, forged, 2, engine), std::invalid_argument)
+        << engine;
+    EXPECT_THROW((void)service.KeyFor(CompileRequest{
+                     .dag = forged, .num_stages = 2, .engine = engine}),
+                 std::invalid_argument)
+        << engine;
+    const CompileResponse response = Ask(service, real, 2, engine);
+    EXPECT_EQ(response.outcome, CacheOutcome::kMiss) << engine;
+    const auto validation =
+        sched::ValidateSchedule(real, response.result->schedule, constraints);
+    EXPECT_TRUE(validation.ok) << engine << ": " << validation.reason;
+  }
 }
 
 TEST(PriorityTest, ParsePriorityRoundTripsEveryLaneName) {
@@ -273,10 +307,10 @@ TEST(CompileServiceTest, ReplaceRlInvalidatesOnlyRlEntries) {
   const graph::Dag dag = SampleDag(24, 13);
 
   EXPECT_EQ(service.Compiler().RlVersion(), 0u);
-  const CompileResponse rl_before = Ask(service, dag, 4, Method::kRespectRl);
+  const CompileResponse rl_before = Ask(service, dag, 4, "RESPECT");
   const CompileResponse list_before =
-      Ask(service, dag, 4, Method::kListScheduling);
-  const CompileResponse ilp_before = Ask(service, dag, 4, Method::kExactIlp);
+      Ask(service, dag, 4, "ListScheduling");
+  const CompileResponse ilp_before = Ask(service, dag, 4, "ExactILP");
 
   service.ReplaceRl(std::make_shared<rl::RlScheduler>(FastOptions().net));
   EXPECT_EQ(service.Compiler().RlVersion(), 1u);
@@ -284,11 +318,11 @@ TEST(CompileServiceTest, ReplaceRlInvalidatesOnlyRlEntries) {
 
   // Deterministic engines stay warm (same shared object), the RL entry is
   // recomputed (fresh object, one extra miss).
-  EXPECT_EQ(Ask(service, dag, 4, Method::kListScheduling).result,
+  EXPECT_EQ(Ask(service, dag, 4, "ListScheduling").result,
             list_before.result);
-  EXPECT_EQ(Ask(service, dag, 4, Method::kExactIlp).result,
+  EXPECT_EQ(Ask(service, dag, 4, "ExactILP").result,
             ilp_before.result);
-  const CompileResponse rl_after = Ask(service, dag, 4, Method::kRespectRl);
+  const CompileResponse rl_after = Ask(service, dag, 4, "RESPECT");
   EXPECT_NE(rl_after.result, rl_before.result);
   EXPECT_NE(rl_after.key_hex, rl_before.key_hex);  // version is in the key
   const serve::ServiceMetrics metrics = service.Metrics();
@@ -340,10 +374,6 @@ class CountingSlowEngine : public engines::SchedulerEngine {
     return solves;
   }
 
-  [[nodiscard]] std::string_view Name() const override {
-    return "CountingSlow";
-  }
-
   [[nodiscard]] engines::EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const engines::EngineBudget&) const override {
@@ -359,7 +389,7 @@ class CountingSlowEngine : public engines::SchedulerEngine {
 TEST(CompileServiceTest, SingleFlightCollapsesConcurrentIdenticalRequests) {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   if (!registry.Contains("CountingSlow")) {
-    registry.Register({"CountingSlow", "", "test-only counting engine", {},
+    registry.Register({"CountingSlow", "", "test-only counting engine",
                        [](const engines::EngineContext&) {
                          return std::make_unique<CountingSlowEngine>();
                        }});
@@ -429,7 +459,7 @@ TEST(CompileServiceTest, SubmitWaitSharesTheSyncCache) {
   EXPECT_EQ(async_a.result, async_b.result);
   EXPECT_GE(async_a.queue_wait_seconds, 0.0);
   // The sync path hits the entry the async path populated.
-  EXPECT_EQ(Ask(service, dag, 4, Method::kGreedyBalance).result,
+  EXPECT_EQ(Ask(service, dag, 4, "GreedyBalance").result,
             async_a.result);
   EXPECT_EQ(service.Metrics().misses, 1u);
 
@@ -501,7 +531,7 @@ TEST(CompileServiceTest, CompileBatchPopulatesAndHitsTheSharedCache) {
   const graph::Dag a = SampleDag(24, 33);
   const graph::Dag b = SampleDag(24, 35);
   const auto batch_of = [](std::span<const graph::Dag* const> dags,
-                           int num_stages, serve::EngineRef engine) {
+                           int num_stages, const std::string& engine) {
     std::vector<CompileRequest> requests;
     for (const graph::Dag* dag : dags) {
       requests.push_back(CompileRequest{.dag = *dag,
@@ -524,7 +554,7 @@ TEST(CompileServiceTest, CompileBatchPopulatesAndHitsTheSharedCache) {
   // Batch results equal the sync path's, and a repeat batch is all-warm.
   EXPECT_EQ(Ask(service, a, 4, "list").result, responses[0].result);
   const auto warm =
-      service.CompileBatch(batch_of(batch, 4, Method::kListScheduling));
+      service.CompileBatch(batch_of(batch, 4, "ListScheduling"));
   EXPECT_EQ(warm[0].result, responses[0].result);
   EXPECT_EQ(warm[1].result, responses[1].result);
   for (const auto& response : warm) {
@@ -684,7 +714,7 @@ TEST(CompileServiceTest, UnknownEngineThrowsBeforeTouchingTheCache) {
   const graph::Dag dag = SampleDag(10, 31);
   EXPECT_THROW((void)Ask(service, dag, 4, "NoSuchEngine"),
                std::invalid_argument);
-  EXPECT_THROW((void)Ask(service, dag, 4, serve::EngineRef{}),
+  EXPECT_THROW((void)Ask(service, dag, 4, ""),
                std::invalid_argument);
   const serve::ServiceMetrics metrics = service.Metrics();
   EXPECT_EQ(metrics.misses, 0u);
@@ -740,8 +770,6 @@ class RecordingEngine : public engines::SchedulerEngine {
     }
   }
 
-  [[nodiscard]] std::string_view Name() const override { return "Recording"; }
-
   [[nodiscard]] engines::EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const engines::EngineBudget&) const override {
@@ -764,7 +792,6 @@ void EnsureRecordingEngine() {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   if (!registry.Contains("Recording")) {
     registry.Register({"Recording", "", "test-only order-recording engine",
-                       {},
                        [](const engines::EngineContext&) {
                          return std::make_unique<RecordingEngine>();
                        }});

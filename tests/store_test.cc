@@ -67,7 +67,7 @@ graph::Dag SampleDag(int nodes, std::uint64_t seed) {
 }
 
 CompileResponse Ask(serve::CompileService& service, const graph::Dag& dag,
-                    int num_stages, serve::EngineRef engine,
+                    int num_stages, std::string engine,
                     CachePolicy policy = CachePolicy::kUse) {
   return service.Compile(CompileRequest{.dag = dag,
                                         .num_stages = num_stages,
@@ -103,10 +103,6 @@ class StoreCountingEngine : public engines::SchedulerEngine {
     return solves;
   }
 
-  [[nodiscard]] std::string_view Name() const override {
-    return "StoreCounting";
-  }
-
   [[nodiscard]] engines::EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const engines::EngineBudget&) const override {
@@ -121,7 +117,7 @@ class StoreCountingEngine : public engines::SchedulerEngine {
 void EnsureStoreCountingEngine() {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   if (!registry.Contains("StoreCounting")) {
-    registry.Register({"StoreCounting", "", "test-only counting engine", {},
+    registry.Register({"StoreCounting", "", "test-only counting engine",
                        [](const engines::EngineContext&) {
                          return std::make_unique<StoreCountingEngine>();
                        }});
@@ -727,8 +723,8 @@ TEST(CompileServiceStoreTest, ReplaceRlStrandsOldSpillsAndCompactReclaims) {
   serve::CompileService service(FastOptions(), service_options);
   const graph::Dag dag = SampleDag(24, 35);
 
-  (void)Ask(service, dag, 4, Method::kRespectRl);       // RL, version 0
-  (void)Ask(service, dag, 4, Method::kListScheduling);  // deterministic
+  (void)Ask(service, dag, 4, "RESPECT");         // RL, version 0
+  (void)Ask(service, dag, 4, "ListScheduling");  // deterministic
   service.FlushStore();
   EXPECT_EQ(service.Metrics().store.resident, 2u);
 
@@ -737,7 +733,7 @@ TEST(CompileServiceStoreTest, ReplaceRlStrandsOldSpillsAndCompactReclaims) {
   // The version-0 spill is unreachable (the new key embeds version 1), so
   // the RL request re-solves; the deterministic entry still disk-hits
   // after a memory wipe.
-  const CompileResponse rl_after = Ask(service, dag, 4, Method::kRespectRl);
+  const CompileResponse rl_after = Ask(service, dag, 4, "RESPECT");
   EXPECT_EQ(rl_after.outcome, CacheOutcome::kMiss);
   service.FlushStore();
   EXPECT_EQ(service.Metrics().store.resident, 3u);
@@ -746,9 +742,9 @@ TEST(CompileServiceStoreTest, ReplaceRlStrandsOldSpillsAndCompactReclaims) {
   EXPECT_EQ(service.Metrics().store.resident, 2u);
 
   service.ClearCache();
-  EXPECT_EQ(Ask(service, dag, 4, Method::kListScheduling).outcome,
+  EXPECT_EQ(Ask(service, dag, 4, "ListScheduling").outcome,
             CacheOutcome::kDiskHit);
-  EXPECT_EQ(Ask(service, dag, 4, Method::kRespectRl).outcome,
+  EXPECT_EQ(Ask(service, dag, 4, "RESPECT").outcome,
             CacheOutcome::kDiskHit);  // the v1 spill — still reachable
 }
 
