@@ -1,10 +1,13 @@
 // Domain example 5: `serve_cli` — CompileService under a synthetic request
 // stream, the serving shape of the ROADMAP's north star.
 //
-//   $ ./build/examples/serve_cli [requests] [models] [stages] [engine] \
-//       [--priority=interactive|normal|batch] [--deadline-ms=N] \
-//       [--threads=N] [--mixed] [--max-batch-inflight=N] \
-//       [--cache-dir=DIR] [--cache-ttl-s=N] [--restart-demo]
+//   $ ./build/examples/serve_cli [requests] [models] [stages] [engine]
+//       [--priority=interactive|normal|batch] [--deadline-ms=N]
+//       [--threads=N] [--mixed] [--max-batch-inflight=N]
+//       [--cache-dir=DIR] [--cache-ttl-s=N] [--profile=NAME]
+//       [--tenant=NAME] [--fleet[=N]] [--failpoint=SITE=ACTION;...]
+//       [--budget-ms=N] [--trace-out=FILE] [--metrics-out=FILE|-]
+//       [--sim-trace-out=FILE]
 //
 // Default mode samples `models` distinct synthetic DAGs, then fires
 // `requests` async CompileRequests with a skewed popularity distribution
@@ -25,19 +28,14 @@
 // flood can never hold every worker.
 //
 // --cache-dir=DIR plugs in the persistent schedule store (spill files under
-// DIR, --cache-ttl-s bounds their age).  --restart-demo (requires
-// --cache-dir) shows what the store buys: it compiles a skewed stream
-// against an empty cache, tears the service down, builds a fresh one on the
-// same directory — the restart — and replays the exact stream, reporting
-// the disk-warm-start hit rate and latency against the cold run.
+// DIR, --cache-ttl-s bounds their age).  With --fleet[=N] it instead names
+// the fleet's workspace, which must be empty or absent (see RunFleet).
 //
-// --miss-storm shows what the grouped batch decode buys: a skewed stream of
-// RL-engine requests fills the cache, ReplaceRl invalidates every entry —
-// the miss storm — and the same stream refills through CompileBatch twice,
-// once with grouped lock-stepped decodes and once with batch_decode off,
-// comparing per-worker refill throughput.  Exits non-zero if the batched
-// variant never took the batch path.  --no-batch-decode disables grouped
-// miss solving in the other modes (A/B escape hatch).
+// The single-process serving contracts — zero-solve disk warm restart,
+// batched miss-storm refill, per-profile cache keys, weighted-fair tenants,
+// v1 spill migration, valid-or-typed settlement under injected faults —
+// are asserted by the store_test, serve_test, engines_test and chaos_test
+// suites.
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -48,7 +46,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -60,9 +57,7 @@
 
 #include "cli_util.h"
 #include "core/failpoint.h"
-#include "deploy/pod_io.h"
 #include "engines/registry.h"
-#include "graph/canonical_hash.h"
 #include "graph/sampler.h"
 #include "net/consistent_hash.h"
 #include "net/fleet_client.h"
@@ -86,11 +81,9 @@ int Usage(const char* argv0) {
       "[engine=anneal]\n"
       "          [--priority=interactive|normal|batch] [--deadline-ms=N]\n"
       "          [--threads=N] [--mixed] [--max-batch-inflight=N]\n"
-      "          [--cache-dir=DIR] [--cache-ttl-s=N] [--restart-demo]\n"
-      "          [--miss-storm] [--no-batch-decode]\n"
-      "          [--profile=NAME] [--tenant=NAME] [--fleet-demo]\n"
-      "          [--fleet[=N]] [--chaos-demo] "
-      "[--failpoint=SITE=ACTION;...] [--budget-ms=N]\n"
+      "          [--cache-dir=DIR] [--cache-ttl-s=N]\n"
+      "          [--profile=NAME] [--tenant=NAME] [--fleet[=N]]\n"
+      "          [--failpoint=SITE=ACTION;...] [--budget-ms=N]\n"
       "          [--trace-out=FILE] [--metrics-out=FILE|-] "
       "[--sim-trace-out=FILE]\n"
       "  --profile targets a named device profile (",
@@ -102,16 +95,12 @@ int Usage(const char* argv0) {
     first = false;
   }
   std::fprintf(stderr,
-               ")\n  --tenant tags requests for weighted-fair queueing; "
-               "--fleet-demo runs one\n  service over several profiles and "
-               "tenants and checks the fairness and\n  cache-separation "
-               "invariants\n  --fleet[=N] spawns N loopback shard processes "
-               "(default 3) behind the wire\n  protocol and checks the "
-               "routing-dedup, kill-survival, and peer-warm-restart\n  "
-               "invariants\n  --chaos-demo serves a stream under injected "
-               "faults and exits non-zero\n  unless every request settles "
-               "valid-or-typed-error; --failpoint arms extra\n  fault sites "
-               "(any mode); --budget-ms bounds each engine solve attempt\n"
+               ")\n  --tenant tags requests for weighted-fair queueing\n"
+               "  --fleet[=N] spawns N loopback shard processes (default 3) "
+               "behind the wire\n  protocol and checks the routing-dedup, "
+               "kill-survival, and peer-warm-restart\n  invariants; its "
+               "--cache-dir must be empty or absent\n  --failpoint arms "
+               "fault sites; --budget-ms bounds each engine solve attempt\n"
                "  --trace-out arms per-request span tracing and writes a "
                "chrometrace JSON\n  (in --fleet mode: one merged trace, one "
                "pid track per shard); --metrics-out\n  writes the unified "
@@ -142,556 +131,6 @@ void PrintLane(const char* label, const LaneSamples& lane) {
 }
 
 using examples::PrintServiceMetrics;  // the shared dump in cli_util.h
-
-/// One synchronous pass over a fixed request stream; the measurable unit of
-/// the restart demo.
-struct StreamReport {
-  std::vector<double> latency_seconds;
-  int hits = 0;       // memory hits
-  int disk_hits = 0;  // persistent-tier hits
-  int misses = 0;     // engine solves
-  double wall_seconds = 0.0;
-};
-
-StreamReport ReplayStream(serve::CompileService& service,
-                          const std::vector<graph::Dag>& zoo,
-                          const std::vector<std::size_t>& picks, int stages,
-                          const std::string& engine) {
-  StreamReport report;
-  report.latency_seconds.reserve(picks.size());
-  const auto start = std::chrono::steady_clock::now();
-  for (const std::size_t pick : picks) {
-    const auto request_start = std::chrono::steady_clock::now();
-    const serve::CompileResponse response =
-        service.Compile(serve::CompileRequest{
-            .dag = zoo[pick], .num_stages = stages, .engine = engine});
-    report.latency_seconds.push_back(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      request_start)
-            .count());
-    switch (response.outcome) {
-      case serve::CacheOutcome::kHit: ++report.hits; break;
-      case serve::CacheOutcome::kDiskHit: ++report.disk_hits; break;
-      default: ++report.misses; break;
-    }
-  }
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return report;
-}
-
-void PrintStreamReport(const char* label, const StreamReport& report) {
-  const auto n = static_cast<double>(report.latency_seconds.size());
-  std::printf(
-      "  %-18s %5.3f s (%.0f req/s)  mem-hits %d  disk-hits %d  solves %d\n"
-      "  %-18s latency p50 %.3f ms  p99 %.3f ms\n",
-      label, report.wall_seconds, n / report.wall_seconds, report.hits,
-      report.disk_hits, report.misses, "",
-      Percentile(report.latency_seconds, 0.50) * 1e3,
-      Percentile(report.latency_seconds, 0.99) * 1e3);
-}
-
-/// --restart-demo: cold stream -> service teardown -> fresh service on the
-/// same cache directory -> identical stream, answered from disk.
-int RunRestartDemo(const CompilerOptions& options,
-                   serve::ServiceOptions service_options,
-                   const std::vector<graph::Dag>& zoo, int requests,
-                   int stages, const std::string& engine,
-                   std::mt19937_64& rng) {
-  service_options.num_threads = 1;  // sync streams; keep the pool small
-  std::vector<std::size_t> picks(requests);
-  for (std::size_t& pick : picks) {
-    // Same skewed popularity as the async stream: min of two draws.
-    pick = std::min(rng() % zoo.size(), rng() % zoo.size());
-  }
-
-  std::printf("restart demo: %d requests over %zu models, %d stages, "
-              "engine %s, cache dir %s\n",
-              requests, zoo.size(), stages, engine.c_str(),
-              service_options.cache_dir.c_str());
-  StreamReport cold;
-  {
-    serve::CompileService service(options, service_options);
-    cold = ReplayStream(service, zoo, picks, stages, engine);
-    PrintStreamReport("cold process:", cold);
-    service.FlushStore();  // every solve is on disk before the "crash"
-    std::printf("  spilled %llu entries to disk\n",
-                static_cast<unsigned long long>(
-                    service.Metrics().store.writes));
-  }  // service destroyed: the restart
-
-  serve::CompileService restarted(options, service_options);
-  const StreamReport warm = ReplayStream(restarted, zoo, picks, stages,
-                                         engine);
-  PrintStreamReport("restarted process:", warm);
-
-  const auto n = static_cast<double>(picks.size());
-  std::printf(
-      "  disk warm-start: %d/%d requests served without an engine solve "
-      "(%.0f%% — %d straight from disk), %.1fx the cold wall clock\n",
-      warm.hits + warm.disk_hits, static_cast<int>(picks.size()),
-      100.0 * (warm.hits + warm.disk_hits) / n, warm.disk_hits,
-      cold.wall_seconds / warm.wall_seconds);
-  PrintServiceMetrics(restarted);
-  return warm.misses == 0 ? 0 : 1;  // a restarted stream must not re-solve
-}
-
-/// --miss-storm: the cold-refill path after a weight rollout.  Fill the
-/// cache through CompileBatch, invalidate every RL entry with ReplaceRl —
-/// the storm — then refill the identical stream and time it, once with
-/// grouped lock-stepped decodes and once with batch_decode off.  Thread
-/// count defaults to 1 so the comparison isolates per-worker decode
-/// throughput (GEMM across the group vs one GEMV decode at a time) rather
-/// than pool parallelism; pass --threads to compare loaded pools.
-int RunMissStorm(const CompilerOptions& options,
-                 serve::ServiceOptions service_options,
-                 const std::vector<graph::Dag>& zoo, int requests, int stages,
-                 int threads) {
-  service_options.num_threads = threads > 0 ? threads : 1;
-  std::mt19937_64 rng(131);
-  std::vector<serve::CompileRequest> stream;
-  stream.reserve(requests);
-  std::vector<bool> seen(zoo.size(), false);
-  int unique_models = 0;
-  for (int r = 0; r < requests; ++r) {
-    // The usual skewed popularity: hot models repeat, so the storm mixes
-    // duplicate keys (collapsed in-flight) with unique cold solves.
-    const std::size_t pick = std::min(rng() % zoo.size(), rng() % zoo.size());
-    if (!seen[pick]) {
-      seen[pick] = true;
-      ++unique_models;
-    }
-    stream.push_back(serve::CompileRequest{
-        .dag = zoo[pick], .num_stages = stages, .engine = "respect"});
-  }
-
-  struct Refill {
-    double wall_seconds = 0.0;
-    serve::ServiceMetrics metrics;
-  };
-  const auto run = [&](bool batch_decode) {
-    serve::ServiceOptions variant = service_options;
-    variant.batch_decode = batch_decode;
-    serve::CompileService service(options, variant);
-    (void)service.CompileBatch(stream);  // cold fill
-    // The rollout: every RL-dependent entry (here: all of them) drops.
-    service.ReplaceRl(std::make_shared<rl::RlScheduler>(options.net));
-    const auto start = std::chrono::steady_clock::now();
-    (void)service.CompileBatch(stream);  // the measured refill
-    Refill refill;
-    refill.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-    refill.metrics = service.Metrics();
-    return refill;
-  };
-
-  std::printf("miss storm: %d requests over %zu models, %d stages, engine "
-              "respect, %d worker(s)\n",
-              requests, zoo.size(), stages, service_options.num_threads);
-  const Refill batched = run(/*batch_decode=*/true);
-  const Refill plain = run(/*batch_decode=*/false);
-
-  // Each run solves every unique picked model twice (fill + refill); the
-  // refill half is what the wall clock above measures.
-  const double solves = static_cast<double>(unique_models);
-  std::printf(
-      "  batched refill:   %7.3f s (%6.0f solves/s, %6.0f req/s)  "
-      "batch-solved %llu of %llu cold solves in %llu group(s)\n",
-      batched.wall_seconds, solves / batched.wall_seconds,
-      requests / batched.wall_seconds,
-      static_cast<unsigned long long>(batched.metrics.batch_solved),
-      static_cast<unsigned long long>(batched.metrics.misses),
-      static_cast<unsigned long long>(batched.metrics.batch_groups));
-  std::printf(
-      "  unbatched refill: %7.3f s (%6.0f solves/s, %6.0f req/s)\n",
-      plain.wall_seconds, solves / plain.wall_seconds,
-      requests / plain.wall_seconds);
-  std::printf("  grouped batch decode refilled at %.1fx the per-worker "
-              "unbatched throughput\n",
-              plain.wall_seconds / batched.wall_seconds);
-  if (batched.metrics.batch_solved == 0) {
-    std::fprintf(stderr,
-                 "error: the batched variant never took the batch path\n");
-    return 1;
-  }
-  return 0;
-}
-
-/// Jain's fairness index over per-tenant (weight-normalized) service rates:
-/// 1.0 = perfectly proportional, 1/n = one tenant starves the rest.
-double JainIndex(const std::vector<double>& rates) {
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (const double rate : rates) {
-    sum += rate;
-    sum_sq += rate * rate;
-  }
-  if (sum_sq == 0.0) return 1.0;
-  return sum * sum / (static_cast<double>(rates.size()) * sum_sq);
-}
-
-/// A chain of identical compute-heavy ops: the shape where a faster front
-/// stage visibly attracts more work (no DAG parallelism to hide behind).
-graph::Dag ChainDag(int nodes) {
-  graph::Dag dag;
-  dag.SetName("fleet-chain");
-  for (int i = 0; i < nodes; ++i) {
-    graph::OpAttr attr;
-    attr.macs = 2'000'000;
-    attr.param_bytes = 1024;
-    attr.output_bytes = 256;
-    dag.AddNode(std::move(attr));
-    if (i > 0) dag.AddEdge(i - 1, i);
-  }
-  return dag;
-}
-
-/// Rewrites a v2 spill file as the v1 (pre-profile) format in place —
-/// strips the profile fields from the payload, recomputes the checksum, and
-/// stamps format version 1.  This is how the fleet demo proves a
-/// default-profile service warm-starts from spills written before profiles
-/// existed.
-bool DowngradeSpillToV1(const std::filesystem::path& path) {
-  std::string bytes;
-  {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return false;
-    bytes.assign(std::istreambuf_iterator<char>(is),
-                 std::istreambuf_iterator<char>());
-  }
-  const auto read_u32 = [&](std::size_t offset) {
-    std::uint32_t value = 0;
-    std::memcpy(&value, bytes.data() + offset, sizeof(value));
-    return value;
-  };
-  if (bytes.size() < 64 || read_u32(0) != 0x4c505352u || read_u32(4) != 2u) {
-    return false;
-  }
-  std::string payload = bytes.substr(32);
-  // Payload prefix: key (16) + rl_dependent (1) + rl_version (8) = 25, then
-  // the engine name (u32 length + bytes), then the v2 profile fields.
-  const std::uint32_t engine_len = read_u32(32 + 25);
-  const std::size_t profile_offset = 25 + 4 + engine_len;
-  if (payload.size() < profile_offset + 4) return false;
-  const std::uint32_t profile_len = read_u32(32 + profile_offset);
-  if (payload.size() < profile_offset + 4 + profile_len + 16) return false;
-  payload.erase(profile_offset, 4 + static_cast<std::size_t>(profile_len) + 16);
-
-  graph::CanonicalHasher hasher;
-  hasher.Update(std::string_view(payload));
-  const graph::CanonicalHash checksum = hasher.Finish();
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  deploy::WritePod(os, std::uint32_t{0x4c505352});
-  deploy::WritePod(os, std::uint32_t{1});
-  deploy::WritePod(os, static_cast<std::uint64_t>(payload.size()));
-  deploy::WritePod(os, checksum.hi);
-  deploy::WritePod(os, checksum.lo);
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  return static_cast<bool>(os);
-}
-
-/// --fleet-demo: one service, several device profiles, several tenants.
-/// Checks, in one run, every serving-layer invariant the heterogeneity
-/// refactor added:
-///   1. the same DAG compiled for different fleets gets different cache
-///      keys (and "" == the default preset's name);
-///   2. the profile-adapted schedule beats the uniform-profile schedule
-///      when both are replayed on the heterogeneous simulator;
-///   3. under an adversarial arrival mix (one tenant floods first) the
-///      weighted-fair queue holds Jain's index >= 0.9;
-///   4. a default-profile restart warm-starts from v1 (pre-profile) spills.
-int RunFleetDemo(const CompilerOptions& options,
-                 serve::ServiceOptions service_options,
-                 const std::vector<graph::Dag>& zoo, int requests, int stages,
-                 const std::string& engine) {
-  int failures = 0;
-  const auto check = [&](bool ok, const char* what) {
-    std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
-    if (!ok) ++failures;
-  };
-
-  if (service_options.cache_dir.empty()) {
-    service_options.cache_dir =
-        (std::filesystem::temp_directory_path() / "respect-fleet-cache")
-            .string();
-    std::filesystem::remove_all(service_options.cache_dir);
-  }
-  service_options.num_threads = 1;  // serialize solves: fairness is visible
-  service_options.tenant_weights = {{"alice", 2.0}};  // bob/mallory default 1
-  const std::vector<std::string> tenants = {"mallory", "alice", "bob"};
-  const std::vector<std::string> tenant_profiles = {"coral-usb2",
-                                                    "coral-x2fast", "coral"};
-  const std::map<std::string, double> weights = {
-      {"alice", 2.0}, {"bob", 1.0}, {"mallory", 1.0}};
-
-  std::printf("fleet demo: engine %s, %d stages, profiles "
-              "{coral, coral-x2fast, coral-usb2}, tenants {alice w=2, bob, "
-              "mallory}, cache dir %s\n",
-              engine.c_str(), stages, service_options.cache_dir.c_str());
-
-  std::string default_key_hex;
-  {
-    serve::CompileService service(options, service_options);
-
-    // Leg 1: per-profile cache keys for the same DAG never collide.
-    const auto key_for = [&](const std::string& profile) {
-      return service
-          .Compile(serve::CompileRequest{.dag = zoo[0],
-                                         .num_stages = stages,
-                                         .engine = engine,
-                                         .profile = profile})
-          .key_hex;
-    };
-    default_key_hex = key_for("");
-    const std::string named_default = key_for("coral");
-    const std::string fast_key = key_for("coral-x2fast");
-    const std::string usb2_key = key_for("coral-usb2");
-    std::printf("  keys for %s: default %s  coral-x2fast %s  coral-usb2 "
-                "%s\n",
-                zoo[0].Name().c_str(), default_key_hex.c_str(),
-                fast_key.c_str(), usb2_key.c_str());
-    check(default_key_hex == named_default,
-          "\"\" and \"coral\" share one cache entry");
-    check(fast_key != default_key_hex && usb2_key != default_key_hex &&
-              fast_key != usb2_key,
-          "each non-default profile has its own cache key");
-
-    // Leg 2: the adapted schedule wins on the heterogeneous simulator.
-    const graph::Dag chain = ChainDag(6 * stages);
-    const tpu::DeviceProfile hetero = *tpu::FindProfile("coral-x2fast");
-    const auto uniform =
-        service.Compile(serve::CompileRequest{.dag = chain,
-                                              .num_stages = stages,
-                                              .engine = engine});
-    const auto adapted =
-        service.Compile(serve::CompileRequest{.dag = chain,
-                                              .num_stages = stages,
-                                              .engine = engine,
-                                              .profile = "coral-x2fast"});
-    const double uniform_us =
-        tpu::SimulatePipeline(uniform.result->package, hetero).total_us;
-    const double adapted_us =
-        tpu::SimulatePipeline(adapted.result->package, hetero).total_us;
-    std::printf("  chain-%d on coral-x2fast: uniform schedule %.0f us, "
-                "adapted %.0f us (%.2fx)\n",
-                chain.NodeCount(), uniform_us, adapted_us,
-                uniform_us / adapted_us);
-    check(adapted_us < uniform_us,
-          "profile-adapted schedule beats the uniform one on the hetero sim");
-
-    // Leg 3: adversarial arrival mix.  mallory floods the queue first, then
-    // alice and bob arrive — FIFO would drain mallory before serving either.
-    // Every request bypasses the cache so each one occupies the worker, and
-    // each tenant targets its own fleet (three profiles in flight at once).
-    const int per_tenant = std::max(12, requests / 12);
-    struct Pending {
-      std::size_t tenant;
-      serve::CompileService::Ticket ticket;
-    };
-    std::vector<Pending> pending;
-    pending.reserve(static_cast<std::size_t>(per_tenant) * tenants.size());
-    std::mt19937_64 mix_rng(7);
-    for (std::size_t t = 0; t < tenants.size(); ++t) {
-      for (int r = 0; r < per_tenant; ++r) {
-        const std::size_t pick =
-            std::min(mix_rng() % zoo.size(), mix_rng() % zoo.size());
-        pending.push_back(
-            {t, service.Submit(serve::CompileRequest{
-                    .dag = zoo[pick],
-                    .num_stages = stages,
-                    .engine = engine,
-                    .cache_policy = serve::CachePolicy::kBypass,
-                    .profile = tenant_profiles[t],
-                    .tenant = tenants[t]})});
-      }
-    }
-    std::vector<double> wait_sum(tenants.size(), 0.0);
-    for (auto& [tenant, ticket] : pending) {
-      wait_sum[tenant] += ticket.WaitResponse().queue_wait_seconds;
-    }
-    std::vector<double> rates;
-    for (std::size_t t = 0; t < tenants.size(); ++t) {
-      const double mean_wait = wait_sum[t] / per_tenant;
-      // Weight-normalized service rate: completions per second of queue
-      // wait, divided by the tenant's configured share.
-      rates.push_back(per_tenant / (mean_wait * weights.at(tenants[t])));
-      std::printf("  tenant %-8s mean wait %7.2f ms (weight %.0f)\n",
-                  tenants[t].c_str(), mean_wait * 1e3,
-                  weights.at(tenants[t]));
-    }
-    const double jain = JainIndex(rates);
-    std::printf("  Jain's fairness index (weight-normalized): %.3f\n", jain);
-    check(jain >= 0.9, "weighted-fair queue holds Jain's index >= 0.9");
-
-    service.FlushStore();
-    PrintServiceMetrics(service);
-  }  // service destroyed: the restart
-
-  // Leg 4: rewrite the default-profile spill as the v1 (pre-profile)
-  // format, then prove a fresh default-profile service still warm-starts
-  // from it.
-  const std::filesystem::path spill =
-      std::filesystem::path(service_options.cache_dir) /
-      (default_key_hex + ".spill");
-  if (!DowngradeSpillToV1(spill)) {
-    std::printf("  [FAIL] could not rewrite %s as a v1 spill\n",
-                spill.string().c_str());
-    return failures + 1;
-  }
-  serve::CompileService restarted(options, service_options);
-  const auto warm =
-      restarted.Compile(serve::CompileRequest{.dag = zoo[0],
-                                              .num_stages = stages,
-                                              .engine = engine});
-  check(warm.outcome == serve::CacheOutcome::kDiskHit &&
-            restarted.Metrics().misses == 0,
-        "default-profile restart warm-starts from a v1 (old-format) spill");
-
-  std::printf("fleet demo: %s\n", failures == 0 ? "all checks passed"
-                                                : "CHECKS FAILED");
-  return failures == 0 ? 0 : 1;
-}
-
-/// --chaos-demo: the failure-domain hardening contract, live.  Arms a mix
-/// of failpoints (engine faults on the preferred engine, transient store
-/// write failures, writeback failures, queue-pop stalls), serves a mixed
-/// async stream through a fallback chain with solve budgets, circuit
-/// breakers, and a bounded queue — then verifies the one invariant that
-/// matters under faults: EVERY request settles with a valid schedule or a
-/// typed error (DeadlineExceeded / Overloaded).  Any untyped failure, or an
-/// injected fault leaking to a caller, exits non-zero.
-int RunChaosDemo(const CompilerOptions& options,
-                 serve::ServiceOptions service_options,
-                 const std::vector<graph::Dag>& zoo, int requests, int stages,
-                 const std::string& engine, int deadline_ms) {
-  const std::string canonical =
-      engines::EngineRegistry::Global().Resolve(engine).name;
-  if (service_options.num_threads <= 0) service_options.num_threads = 2;
-  service_options.fallback_chain = {"list", "greedy"};
-  if (service_options.default_solve_budget_seconds <= 0.0) {
-    service_options.default_solve_budget_seconds = 1.0;
-  }
-  service_options.breaker_failure_threshold = 3;
-  service_options.breaker_open_seconds = 0.5;
-  service_options.max_lane_depth = 8;
-
-#if defined(RESPECT_FAILPOINTS) && RESPECT_FAILPOINTS
-  // The default fault mix; a --failpoint=SPEC on the command line adds to
-  // (or, for the same sites, overrides) these.  The engine fault count
-  // matches the breaker threshold exactly: the first wave absorbs the whole
-  // burst (opening the breaker), so the second wave's half-open probe runs
-  // against a healthy engine and demonstrates recovery.
-  const auto injected =
-      static_cast<std::uint64_t>(service_options.breaker_failure_threshold);
-  core::failpoint::Configure("engine.solve." + canonical, "error(chaos)",
-                             injected);
-  core::failpoint::Configure("store.write", "error(chaos ENOSPC)", 4);
-  core::failpoint::Configure("serve.writeback", "error(chaos)", 2);
-  core::failpoint::Configure("queue.pop", "delay(1)", 16);
-  std::printf("chaos demo: %d requests over %zu models, %d stages, "
-              "preferred engine %s -> fallback {list, greedy}\n"
-              "  armed: engine.solve.%s=error(x%llu) store.write=error(x4) "
-              "serve.writeback=error(x2) queue.pop=delay(1ms,x16)\n",
-              requests, zoo.size(), stages, canonical.c_str(),
-              canonical.c_str(), static_cast<unsigned long long>(injected));
-#else
-  std::printf("chaos demo: built with RESPECT_FAILPOINTS=OFF — nothing to "
-              "arm; running the stream fault-free\n");
-#endif
-
-  serve::CompileService service(options, service_options);
-  std::mt19937_64 rng(53);
-  const double deadline_s = deadline_ms > 0 ? deadline_ms * 1e-3 : 0.25;
-
-  int valid = 0;
-  int degraded = 0;
-  int deadline_failed = 0;
-  int overloaded = 0;
-  int untyped = 0;
-  std::string first_untyped;
-  const auto settle = [&](const serve::CompileService::Ticket& ticket) {
-    try {
-      const serve::CompileResponse& response = ticket.WaitResponse();
-      if (response.result != nullptr) {
-        ++valid;
-        if (response.degraded) ++degraded;
-      } else {
-        ++untyped;
-        if (first_untyped.empty()) first_untyped = "null result";
-      }
-    } catch (const serve::DeadlineExceeded&) {
-      ++deadline_failed;
-    } catch (const serve::Overloaded&) {
-      ++overloaded;
-    } catch (const std::exception& e) {
-      ++untyped;
-      if (first_untyped.empty()) first_untyped = e.what();
-    }
-  };
-
-  // Two waves.  The first rides out the injected fault burst (fallbacks,
-  // breaker opening, shedding at the depth bound); the pause lets the open
-  // breaker's window lapse, so the second wave demonstrates the recovery
-  // half of the contract — the half-open probe re-admitting the engine.
-  int wave_number = 0;
-  for (const int wave : {requests - requests / 2, requests / 2}) {
-    std::vector<serve::CompileService::Ticket> tickets;
-    tickets.reserve(wave);
-    for (int r = 0; r < wave; ++r) {
-      const bool interactive = r % 4 == 3;
-      const std::size_t pick =
-          std::min(rng() % zoo.size(), rng() % zoo.size());
-      tickets.push_back(service.Submit(serve::CompileRequest{
-          .dag = zoo[pick],
-          .num_stages = stages,
-          .engine = engine,
-          .priority = interactive ? serve::Priority::kInteractive
-                                  : serve::Priority::kBatch,
-          .deadline = interactive
-                          ? std::optional(serve::DeadlineIn(deadline_s))
-                          : std::nullopt,
-          // Half of each wave bypasses the cache so faults keep hitting
-          // live solves instead of being absorbed by warm entries.
-          .cache_policy = (r % 2 == 0) ? serve::CachePolicy::kBypass
-                                       : serve::CachePolicy::kUse}));
-      if (r % 8 == 7) {
-        // A paced stream, not one instantaneous burst: the queue both
-        // sheds (early, while solves back up behind the faults) and
-        // serves (once fallbacks land and the cache warms).
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    }
-    for (const auto& ticket : tickets) settle(ticket);
-    if (wave_number++ == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    }
-  }
-#if defined(RESPECT_FAILPOINTS) && RESPECT_FAILPOINTS
-  core::failpoint::ClearAll();
-#endif
-
-  std::printf("  settled %d/%d: %d valid (%d degraded), %d deadline, "
-              "%d overloaded, %d UNTYPED\n",
-              valid + deadline_failed + overloaded + untyped, requests, valid,
-              degraded, deadline_failed, overloaded, untyped);
-  PrintServiceMetrics(service);
-  if (untyped > 0) {
-    std::fprintf(stderr,
-                 "error: %d request(s) failed without a typed error "
-                 "(first: %s)\n",
-                 untyped, first_untyped.c_str());
-    return 1;
-  }
-  if (valid == 0) {
-    std::fprintf(stderr, "error: no request produced a valid schedule\n");
-    return 1;
-  }
-  std::printf("chaos demo: every request settled valid-or-typed under "
-              "injected faults\n");
-  return 0;
-}
 
 // ── Fleet mode: N serve_cli processes behind net::FleetServer ──────────────
 
@@ -837,20 +276,29 @@ serve::CompileResponse FleetCompile(
 ///   3. Restart: bring the shard back on the same port with a FRESH cache
 ///      directory and drive the stream through it; asserts it warm-starts
 ///      entirely via peer spill fetch — zero local engine solves.
-/// Exits non-zero when any phase's invariant fails.
+/// Exits non-zero when any phase's invariant fails.  A user-supplied
+/// `cache_dir` becomes the workspace only when it is empty or absent: a
+/// non-empty one is refused with exit 2, so the run never deletes or
+/// overwrites files it did not create.
 int RunFleet(const CompilerOptions& options,
-             const serve::ServiceOptions& service_options,
              const std::vector<graph::Dag>& zoo, int requests, int stages,
              const std::string& engine, int fleet_n,
              const std::string& cache_dir, const std::string& trace_out) {
   const bool tracing = !trace_out.empty();
   namespace fs = std::filesystem;
-  const fs::path dir =
-      cache_dir.empty()
-          ? fs::temp_directory_path() /
-                ("respect-fleet-" + std::to_string(::getpid()))
-          : fs::path(cache_dir);
-  fs::remove_all(dir);
+  fs::path dir(cache_dir);
+  if (cache_dir.empty()) {
+    // Our own per-pid workspace; a leftover from a recycled pid is stale.
+    dir = fs::temp_directory_path() /
+          ("respect-fleet-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+  } else if (fs::exists(dir) && !fs::is_empty(dir)) {
+    std::fprintf(stderr,
+                 "error: --fleet needs an empty or absent --cache-dir; %s "
+                 "is not empty\n",
+                 dir.string().c_str());
+    return 2;
+  }
   fs::create_directories(dir);
   std::printf("fleet: %d shards, workspace %s\n", fleet_n,
               dir.string().c_str());
@@ -1185,11 +633,6 @@ int main(int argc, char** argv) {
   int max_batch_inflight = 0;  // 0 = uncapped
   std::string cache_dir;       // empty = no persistent tier
   int cache_ttl_s = 0;         // 0 = no expiry
-  bool restart_demo = false;
-  bool miss_storm = false;
-  bool batch_decode = true;
-  bool fleet_demo = false;
-  bool chaos_demo = false;
   int fleet_n = 0;          // > 0: parent of a --fleet multi-process run
   bool fleet_serve = false;  // hidden: this process is a fleet shard
   std::string fleet_dir;
@@ -1241,8 +684,6 @@ int main(int argc, char** argv) {
       if (!examples::ParseIntInRange(arg + 14, 1, kMaxInt, cache_ttl_s)) {
         return Usage(argv[0]);
       }
-    } else if (std::strcmp(arg, "--restart-demo") == 0) {
-      restart_demo = true;
     } else if (std::strncmp(arg, "--profile=", 10) == 0) {
       profile = arg + 10;
       if (!tpu::FindProfile(profile)) {
@@ -1252,8 +693,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(arg, "--tenant=", 9) == 0) {
       tenant = arg + 9;
-    } else if (std::strcmp(arg, "--fleet-demo") == 0) {
-      fleet_demo = true;
     } else if (std::strcmp(arg, "--fleet") == 0) {
       fleet_n = 3;
     } else if (std::strncmp(arg, "--fleet=", 8) == 0) {
@@ -1276,8 +715,6 @@ int main(int argc, char** argv) {
       if (!examples::ParseIntInRange(arg + 13, 1, 65535, fleet_port)) {
         return Usage(argv[0]);
       }
-    } else if (std::strcmp(arg, "--chaos-demo") == 0) {
-      chaos_demo = true;
     } else if (std::strncmp(arg, "--failpoint=", 12) == 0) {
       failpoints = arg + 12;
       if (failpoints.empty()) {
@@ -1288,10 +725,6 @@ int main(int argc, char** argv) {
       if (!examples::ParseIntInRange(arg + 12, 1, kMaxInt, budget_ms)) {
         return Usage(argv[0]);
       }
-    } else if (std::strcmp(arg, "--miss-storm") == 0) {
-      miss_storm = true;
-    } else if (std::strcmp(arg, "--no-batch-decode") == 0) {
-      batch_decode = false;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
       trace_out = arg + 12;
       if (trace_out.empty()) {
@@ -1367,7 +800,6 @@ int main(int argc, char** argv) {
   service_options.max_batch_inflight = max_batch_inflight;
   service_options.cache_dir = cache_dir;
   service_options.cache_ttl_seconds = cache_ttl_s;
-  service_options.batch_decode = batch_decode;
   service_options.default_solve_budget_seconds = budget_ms * 1e-3;
 
   if (fleet_serve) {
@@ -1409,54 +841,10 @@ int main(int argc, char** argv) {
 
   if (fleet_n > 0) {
     try {
-      return RunFleet(options, service_options, zoo, requests, stages,
-                      engine, fleet_n, cache_dir, trace_out);
+      return RunFleet(options, zoo, requests, stages, engine, fleet_n,
+                      cache_dir, trace_out);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: fleet run failed: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (chaos_demo) {
-    try {
-      return RunChaosDemo(options, service_options, zoo, requests, stages,
-                          engine, deadline_ms);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: chaos demo failed: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (fleet_demo) {
-    try {
-      return RunFleetDemo(options, service_options, zoo, requests, stages,
-                          engine);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: fleet demo failed: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (miss_storm) {
-    try {
-      return RunMissStorm(options, service_options, zoo, requests, stages,
-                          threads);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: miss-storm demo failed: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (restart_demo) {
-    if (cache_dir.empty()) {
-      std::fprintf(stderr, "error: --restart-demo requires --cache-dir\n");
-      return Usage(argv[0]);
-    }
-    try {
-      return RunRestartDemo(options, service_options, zoo, requests, stages,
-                            engine, rng);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: restart demo failed: %s\n", e.what());
       return 1;
     }
   }

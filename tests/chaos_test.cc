@@ -7,9 +7,11 @@
 // shed with the typed Overloaded instead of queueing doomed work, and the
 // failpoint framework must inject faults at every registered site (engine
 // solve, queue pop, store read/write/rename, writeback) without a single
-// silent drop or stranded waiter.
+// silent drop or stranded waiter — one at a time and all at once under a
+// mixed async stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -18,6 +20,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -784,6 +787,96 @@ TEST(ChaosServiceTest, WritebackFailureIsCountedNotSilent) {
   const auto metrics = service.Metrics();
   EXPECT_GE(metrics.writeback_errors, 1u);
   EXPECT_EQ(metrics.store.writes, 0u);
+}
+
+// The whole fault mix at once under a mixed async stream: engine errors on
+// the preferred engine, transient store write failures, failed writebacks
+// and queue-pop stalls, served through a fallback chain, solve budgets, a
+// breaker and bounded lanes.  Every request must settle with a schedule or
+// a typed error.  The engine fault count equals the breaker threshold, so
+// the first wave opens the breaker; the second, submitted once the breaker
+// clock has passed the open window, shows the half-open probe re-admitting
+// the healed engine.  One worker keeps the breaker's run of failures in
+// submission order.
+TEST(ChaosServiceTest, MixedFaultStreamSettlesValidOrTyped) {
+  const TempDir dir("respect-chaos-stream");
+  const auto start = std::chrono::steady_clock::now();
+  auto window_passed = std::make_shared<std::atomic<bool>>(false);
+  serve::ServiceOptions svc;
+  svc.num_threads = 1;
+  svc.cache_dir = dir.str();  // without a store the write faults never fire
+  svc.fallback_chain = {"list", "greedy"};
+  svc.default_solve_budget_seconds = 1.0;
+  svc.breaker_failure_threshold = 3;
+  svc.breaker_open_seconds = 0.5;
+  svc.breaker_clock = [start, window_passed] {
+    return start + std::chrono::seconds(window_passed->load() ? 1 : 0);
+  };
+  svc.max_lane_depth = 8;
+  serve::CompileService service(FastOptions(), svc);
+
+  const ScopedFailpoint engine_fault("engine.solve.Annealing", "error(chaos)",
+                                     3);
+  const ScopedFailpoint store_fault("store.write", "error(chaos ENOSPC)", 4);
+  const ScopedFailpoint writeback_fault("serve.writeback", "error(chaos)", 2);
+  const ScopedFailpoint pop_stall("queue.pop", "delay(1)", 16);
+
+  std::vector<graph::Dag> zoo;
+  for (std::uint64_t i = 0; i < 6; ++i) zoo.push_back(SampleDag(24, 200 + i));
+  std::mt19937_64 rng(53);
+  int valid = 0;
+  int degraded = 0;
+  int typed = 0;
+  const auto run_wave = [&](int requests) {
+    std::vector<serve::CompileService::Ticket> tickets;
+    for (int r = 0; r < requests; ++r) {
+      const bool interactive = r % 4 == 3;
+      tickets.push_back(service.Submit(CompileRequest{
+          .dag = zoo[std::min(rng() % zoo.size(), rng() % zoo.size())],
+          .num_stages = 4,
+          .engine = "anneal",
+          .priority = interactive ? Priority::kInteractive : Priority::kBatch,
+          .deadline = interactive ? std::optional(serve::DeadlineIn(0.25))
+                                  : std::nullopt,
+          // Half the stream bypasses the cache, so faults keep meeting live
+          // solves instead of warm entries.
+          .cache_policy =
+              r % 2 == 0 ? CachePolicy::kBypass : CachePolicy::kUse}));
+    }
+    for (const auto& ticket : tickets) {
+      try {
+        const CompileResponse& response = ticket.WaitResponse();
+        EXPECT_NE(response.result, nullptr);
+        ++valid;
+        if (response.degraded) ++degraded;
+      } catch (const DeadlineExceeded&) {
+        ++typed;
+      } catch (const Overloaded&) {
+        ++typed;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "untyped failure: " << e.what();
+      }
+    }
+  };
+
+  run_wave(40);
+  EXPECT_EQ(service.Metrics().breakers.at("Annealing").state, "open");
+  window_passed->store(true);
+  run_wave(40);
+  service.FlushStore();
+
+  EXPECT_EQ(valid + typed, 80);
+  EXPECT_GE(valid, 1);
+  EXPECT_GE(degraded, 1);
+  const auto metrics = service.Metrics();
+  const serve::BreakerMetrics& breaker = metrics.breakers.at("Annealing");
+  EXPECT_GE(breaker.opened, 1u);
+  EXPECT_EQ(breaker.state, "closed");
+  EXPECT_EQ(metrics.writeback_errors, 2u);
+  // Each injected write failure is a retry or, once retries run out, a
+  // failed spill.
+  EXPECT_EQ(metrics.store.write_retries + metrics.store.write_failures, 4u);
+  EXPECT_GE(metrics.store.writes, 1u);
 }
 
 ResultPtr SolveOnce(const graph::Dag& dag) {

@@ -18,6 +18,7 @@
 #include "engines/registry.h"
 #include "graph/sampler.h"
 #include "sched/device_aware.h"
+#include "tpu/sim.h"
 
 namespace respect {
 namespace {
@@ -284,6 +285,10 @@ TEST(HeterogeneousProfileTest, FasterFrontStageAttractsMoreWork) {
     return macs;
   };
   EXPECT_GT(stage_macs(adapted.schedule, 0), stage_macs(uniform.schedule, 0));
+  // ... so the adapted package finishes sooner on the heterogeneous
+  // simulator.
+  EXPECT_LT(tpu::SimulatePipeline(adapted.package, profile).total_us,
+            tpu::SimulatePipeline(uniform.package, profile).total_us);
 }
 
 TEST(PipelineCompilerTest, ReplaceRlSwapsSnapshotCopyOnWrite) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -984,6 +985,49 @@ TEST(CompileServiceQueueTest, FifoQueueStillFailsLapsedDeadlines) {
     EXPECT_NE(name, "doomed");
   }
   EXPECT_EQ(service.Metrics().deadline_expired, 1u);
+}
+
+// ServiceOptions::tenant_weights through the service: one tenant floods the
+// lane first, then a weight-2 tenant and a weight-1 tenant arrive.  FIFO
+// would drain the whole flood before serving either; the weighted-fair queue
+// interleaves them by weight from the first pop.  The pinned single worker
+// makes the solve order, and so the assertions, independent of timing.
+TEST(CompileServiceQueueTest, TenantWeightsShareTheWorkerAgainstAFlood) {
+  EnsureRecordingEngine();
+  serve::ServiceOptions options;
+  options.num_threads = 1;
+  options.tenant_weights = {{"alice", 2.0}};  // bob and mallory default to 1
+  serve::CompileService service(FastOptions(), options);
+
+  std::vector<serve::CompileService::Ticket> tickets;
+  tickets.push_back(service.Submit(
+      QueuedRequest(NamedDag(101, "hold-blocker"), Priority::kNormal)));
+  RecordingEngine::WaitForSolves(1);  // worker is pinned inside the blocker
+
+  constexpr int kPerTenant = 12;
+  std::uint64_t seed = 103;
+  for (const std::string tenant : {"mallory", "alice", "bob"}) {
+    for (int i = 0; i < kPerTenant; ++i) {
+      CompileRequest request = QueuedRequest(
+          NamedDag(seed++, tenant + "-" + std::to_string(i)),
+          Priority::kNormal);
+      request.tenant = tenant;
+      tickets.push_back(service.Submit(std::move(request)));
+    }
+  }
+  RecordingEngine::Release();
+  for (const auto& ticket : tickets) (void)ticket.Wait();
+
+  const std::vector<std::string> order = RecordingEngine::Order();
+  ASSERT_EQ(order.size(), 1u + 3 * kPerTenant);
+  // Count each tenant's solves while all three are still backlogged: alice
+  // drains her queue first, after about 2 * kPerTenant solves.
+  std::map<std::string, int> served;
+  for (std::size_t i = 1; i <= 2 * kPerTenant; ++i) {
+    ++served[order[i].substr(0, order[i].find('-'))];
+  }
+  EXPECT_NEAR(served["alice"], 2 * served["bob"], 2);
+  EXPECT_NEAR(served["mallory"], served["bob"], 1);
 }
 
 }  // namespace

@@ -412,53 +412,58 @@ TEST(DiskStoreTest, RenamedSpillNeverAnswersTheWrongKey) {
   EXPECT_NE(store.Probe(meta.key), nullptr);  // the honest copy still serves
 }
 
-TEST(DiskStoreTest, Version1SpillsReadBackAsTheDefaultProfile) {
-  // Forward migration: a spill written by a pre-profile (v1) build must
-  // warm-start a v2 store as the default profile — byte-craft the v1
-  // envelope exactly as the old writer laid it out.
-  const TempDir dir("respect-store-v1-migration");
-  const graph::Dag dag = SampleDag(24, 41);
-  const graph::CanonicalHash key = graph::HashDag(dag);
-  const ResultPtr result = SolveOnce(dag);
-
+/// Writes `result` at `path` as a pre-profile (v1) spill file under `key`,
+/// byte-crafted exactly as the old writer laid the envelope out.
+void WriteVersion1Spill(const fs::path& path, const graph::CanonicalHash& key,
+                        const std::string& engine,
+                        const CompileResult& result) {
   std::ostringstream payload_os(std::ios::binary);
   deploy::WritePod(payload_os, key.hi);
   deploy::WritePod(payload_os, key.lo);
   deploy::WritePod(payload_os, std::uint8_t{0});  // rl_dependent
   deploy::WritePod(payload_os, std::uint64_t{0});  // rl_version
-  const std::string engine = "ListScheduling";
   deploy::WritePod(payload_os, static_cast<std::uint32_t>(engine.size()));
   payload_os.write(engine.data(),
                    static_cast<std::streamsize>(engine.size()));
   // v1 stops here: no profile name, no fingerprint.
   deploy::WritePod(payload_os, std::int64_t{0});  // expires_at: never
-  deploy::WritePod(payload_os, result->solve_seconds);
-  deploy::WritePod(payload_os, result->peak_stage_param_bytes);
-  deploy::WritePod(payload_os, std::uint8_t{result->proved_optimal});
-  deploy::WritePod(payload_os, result->schedule.num_stages);
+  deploy::WritePod(payload_os, result.solve_seconds);
+  deploy::WritePod(payload_os, result.peak_stage_param_bytes);
+  deploy::WritePod(payload_os, std::uint8_t{result.proved_optimal});
+  deploy::WritePod(payload_os, result.schedule.num_stages);
   deploy::WritePod(payload_os,
-                   static_cast<std::uint64_t>(result->schedule.stage.size()));
-  for (const int stage : result->schedule.stage) {
+                   static_cast<std::uint64_t>(result.schedule.stage.size()));
+  for (const int stage : result.schedule.stage) {
     deploy::WritePod(payload_os, stage);
   }
-  deploy::WritePackage(result->package, payload_os);
+  deploy::WritePackage(result.package, payload_os);
   const std::string payload = std::move(payload_os).str();
 
   graph::CanonicalHasher hasher;
   hasher.Update(std::string_view(payload));
   const graph::CanonicalHash checksum = hasher.Finish();
 
-  DiskStore store(DiskStoreOptions{.directory = dir.str()});
-  const fs::path path = store.PathFor(key);
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    deploy::WritePod(os, std::uint32_t{0x4c505352});  // "RSPL"
-    deploy::WritePod(os, std::uint32_t{1});           // format version 1
-    deploy::WritePod(os, static_cast<std::uint64_t>(payload.size()));
-    deploy::WritePod(os, checksum.hi);
-    deploy::WritePod(os, checksum.lo);
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  }
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  deploy::WritePod(os, std::uint32_t{0x4c505352});  // "RSPL"
+  deploy::WritePod(os, std::uint32_t{1});           // format version 1
+  deploy::WritePod(os, static_cast<std::uint64_t>(payload.size()));
+  deploy::WritePod(os, checksum.hi);
+  deploy::WritePod(os, checksum.lo);
+  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+}
+
+TEST(DiskStoreTest, Version1SpillsReadBackAsTheDefaultProfile) {
+  // Forward migration: a spill written by a pre-profile (v1) build must
+  // warm-start a v2 store as the default profile.
+  const TempDir dir("respect-store-v1-migration");
+  const graph::Dag dag = SampleDag(24, 41);
+  const graph::CanonicalHash key = graph::HashDag(dag);
+  const ResultPtr result = SolveOnce(dag);
+  const std::string engine = "ListScheduling";
+
+  const fs::path path =
+      DiskStore(DiskStoreOptions{.directory = dir.str()}).PathFor(key);
+  WriteVersion1Spill(path, key, engine, *result);
 
   // A fresh store indexes and serves the v1 file as a normal hit.
   DiskStore reader(DiskStoreOptions{.directory = dir.str()});
@@ -484,6 +489,26 @@ TEST(DiskStoreTest, Version1SpillsReadBackAsTheDefaultProfile) {
   deploy::ReadPod(is, version);
   EXPECT_EQ(magic, 0x4c505352u);
   EXPECT_EQ(version, 2u);
+
+  // Through the service: the same v1 envelope under a default-profile
+  // request's key answers a freshly started CompileService from disk,
+  // without an engine solve.
+  const TempDir service_dir("respect-store-v1-service");
+  const CompileRequest request{.dag = dag, .num_stages = 4, .engine = "list"};
+  const graph::CanonicalHash service_key =
+      serve::CompileService(FastOptions()).KeyFor(request);
+  WriteVersion1Spill(
+      DiskStore(DiskStoreOptions{.directory = service_dir.str()})
+          .PathFor(service_key),
+      service_key, engine, *result);
+  serve::ServiceOptions service_options;
+  service_options.cache_dir = service_dir.str();
+  serve::CompileService restarted(FastOptions(), service_options);
+  const CompileResponse warm = restarted.Compile(request);
+  EXPECT_EQ(warm.outcome, CacheOutcome::kDiskHit);
+  EXPECT_EQ(restarted.Metrics().misses, 0u);
+  ASSERT_NE(warm.result, nullptr);
+  ExpectSameResult(*warm.result, *result);
 }
 
 TEST(DiskStoreTest, TtlExpiredEntriesAreDroppedOnProbe) {
